@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Scenario sweeps: one grid, four execution stacks, a process pool.
+"""Scenario sweeps: one grid, four execution stacks, a sharded sweep.
 
 Demonstrates the scenario layer end to end:
 
 1. a cross-backend tour — the *same* declarative shape runs the paper's
    algorithm (extended model), a classic baseline, an asynchronous ◇S
    algorithm, and fast-failure-detector consensus;
-2. a seed-dense grid swept under the multiprocessing executor with JSONL
-   persistence, then resumed (zero cells re-executed).
+2. a seed-dense grid swept by the sharded work-stealing executor into a
+   shard directory, then resumed off its manifest (zero cells
+   re-executed).
 
     python examples/scenario_sweep.py
 """
@@ -50,15 +51,19 @@ def sweep() -> None:
         adversaries=("staggered",),
         seeds=7,
     )
-    print(f"== {len(cells)}-cell grid, process pool, JSONL resume ==\n")
+    print(f"== {len(cells)}-cell grid, sharded sweep, resume ==\n")
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "sweep.jsonl")
-        runner = SweepRunner(cells, executor="process", chunk_size=8, jsonl_path=path)
+        shards = os.path.join(tmp, "shards")  # manifest + one file per shard
+        runner = SweepRunner(cells, executor="sharded", processes=2, shards=4,
+                             jsonl_path=shards)
         records = runner.run()
-        print(f"  first pass : {runner.executed} executed, {runner.resumed} resumed")
-        resumed = SweepRunner(cells, executor="process", chunk_size=8, jsonl_path=path)
+        print(f"  first pass : {runner.executed} executed, {runner.resumed} resumed "
+              f"({runner.fresh_shards} shards)")
+        resumed = SweepRunner(cells, executor="sharded", processes=2, shards=4,
+                              jsonl_path=shards)
         resumed.run()
-        print(f"  second pass: {resumed.executed} executed, {resumed.resumed} resumed\n")
+        print(f"  second pass: {resumed.executed} executed, {resumed.resumed} resumed "
+              f"({resumed.resumed_shards} shards off the manifest)\n")
 
     for row in summarize_records(records):
         if row.f == 2:

@@ -35,7 +35,6 @@ from repro.asyncsim import (
 )
 from repro.baselines import EarlyStoppingConsensus, FloodSetConsensus
 from repro.ffd import TimedCrash, TimedSpec, run_ffd_consensus
-from repro.harness import ALGORITHMS, RunConfig, run_once, run_sweep
 from repro.lowerbound import (
     ExplorationConfig,
     Explorer,
@@ -45,6 +44,7 @@ from repro.lowerbound import (
 )
 from repro.rsm import Command, KVStore, ReplicatedLog
 from repro.scenarios import (
+    ALGORITHMS,
     EngineLease,
     RunRecord,
     Scenario,
@@ -106,9 +106,6 @@ __all__ = [
     "TimedSpec",
     "run_ffd_consensus",
     "ALGORITHMS",
-    "RunConfig",
-    "run_once",
-    "run_sweep",
     "Scenario",
     "RunRecord",
     "execute",

@@ -25,7 +25,7 @@ architecture the ROADMAP's million-cell tradeoff atlases run on:
 
 ``SweepRunner(executor="sharded")`` and ``repro-consensus scenario
 sweep --executor sharded`` / ``repro-consensus atlas summarize`` are the
-front doors; see ``DESIGN.md`` §3.6.
+front doors; see ``DESIGN.md`` §3.5.
 """
 
 from repro.fabric.atlas import (

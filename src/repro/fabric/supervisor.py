@@ -14,7 +14,7 @@ this module owns the *mechanics* of keeping workers alive:
   ``max_respawns``, and tears everything down at shutdown — slabs are
   **always** unlinked, even when a join times out.
 
-The worker lifecycle state machine (see DESIGN.md §3.6)::
+The worker lifecycle state machine (see DESIGN.md §3.5)::
 
     spawned ── dispatch ──▶ busy ── result ──▶ idle ──▶ ... ──▶ stopped
        ▲                     │ EOF (died) / liveness timeout (hung)

@@ -4,8 +4,8 @@ Subcommands
 -----------
 ``run``             one consensus run (legacy flags), printing outcome and stats
 ``scenario run``    one declarative scenario (any registered algorithm/backend)
-``scenario sweep``  a scenario grid: serial, process-pool, or sharded
-                    (work-stealing fabric), JSONL persistence/resume
+``scenario sweep``  a scenario grid: serial or sharded (work-stealing
+                    fabric), JSONL persistence/resume
 ``atlas summarize`` merge-on-read tradeoff tables over a sharded sweep
                     directory (streaming; ``--out`` writes the artifact)
 ``bench``           perf-gate kernels: measure / ``--check-against`` /
@@ -75,20 +75,22 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.harness.runner import RunConfig
     from repro.scenarios.execute import execute
+    from repro.scenarios.scenario import Scenario
     from repro.sync.spec import check_consensus
 
-    config = RunConfig(
+    scenario = Scenario(
         algorithm=args.algorithm,
         n=args.n,
         t=args.t,  # None -> the algorithm's own rule, applied by execute()
         f=args.f,
         adversary=args.adversary,
         seed=args.seed,
-        value_bits=args.value_bits,
     )
-    record = execute(config.to_scenario(), trace=args.trace)
+    if args.value_bits is not None:
+        scenario = scenario.with_(workload="sized",
+                                  workload_params={"bits": args.value_bits})
+    record = execute(scenario, trace=args.trace)
     result = record.raw
     # The record verdict already uses each algorithm's registered spec
     # (e.g. the vector checker for interactive consistency); crw keeps the
@@ -221,7 +223,6 @@ def _cmd_scenario_sweep(args: argparse.Namespace) -> int:
         processes=args.jobs,
         chunk_size=args.chunk_size,
         jsonl_path=args.jsonl,
-        writer=args.writer,
         shards=args.shards,
         faults=faults,
         liveness_timeout=args.liveness_timeout,
@@ -528,12 +529,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--adversary", action="append", default=None,
                       help="adversary name(s), repeatable or comma-separated")
     p_sw.add_argument("--seeds", type=int, default=10)
-    p_sw.add_argument("--executor", choices=("serial", "process", "sharded"),
+    p_sw.add_argument("--executor", choices=("serial", "sharded"),
                       default="serial")
     p_sw.add_argument("--jobs", type=int, default=None,
-                      help="process-pool / sharded worker count")
+                      help="sharded worker count")
     p_sw.add_argument("--chunk-size", type=int, default=None,
-                      help="cells per worker task (default: auto-tuned)")
+                      help="cells per JSONL flush (default: 32 serial, "
+                      "auto-sized per shard when sharded)")
     p_sw.add_argument("--shards", type=int, default=None,
                       help="shard count for a fresh sharded sweep "
                       "(default: ~4 per worker; a resumed directory's "
@@ -541,10 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--jsonl", default=None,
                       help="JSONL persistence/resume file (sharded executor: "
                       "a shard *directory* — manifest + per-shard files)")
-    p_sw.add_argument("--writer", choices=("columnar", "legacy"), default="columnar",
-                      help="JSONL layout: one batch line per chunk (columnar, "
-                      "default) or one record line per cell (legacy); resume "
-                      "reads both")
     p_sw.add_argument("--chaos", default=None, metavar="SPEC",
                       help="sharded executor: inject deterministic faults, "
                       "e.g. 'kill:worker=0,after=1;hang:shard=2,worker=1;"

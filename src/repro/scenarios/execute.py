@@ -7,11 +7,8 @@ algorithm's backend, and reduces whatever the backend returns to the
 normalized :class:`~repro.scenarios.record.RunRecord`.
 
 Determinism contract: the labelled RNG tree makes a record a pure
-function of its scenario, and — because child streams depend only on
-``(seed, label)``, never on draw order — the synchronous path here is
-**byte-identical** to the legacy ``repro.harness.runner.run_once`` for
-every ``(algorithm, adversary, seed)`` it could express.  The parity test
-in ``tests/scenarios/test_execute.py`` pins that equivalence.
+function of its scenario — child streams depend only on ``(seed,
+label)``, never on draw order.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ parallel columns.  A batch round-trips through the per-record row form
 <repro.scenarios.scenario.scenario_delta>` wire format — encodes to one
 compact payload per chunk (``to_payload``/``from_payload``): one shared
 base-scenario dict plus per-cell deltas instead of a full scenario dict
-per record.  That payload is both the process-pool wire format and the
-columnar JSONL line format of :class:`~repro.scenarios.sweep.SweepRunner`.
+per record.  That payload is both the sharded workers' wire format and
+the columnar JSONL line format of the sweep layer.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class RunRecord:
         payloads in their encoded ``jsonable`` form, ``raw`` dropped — but
         built directly, skipping the dict materialization and the
         ``Scenario.from_dict`` revalidation.  Sweeps normalize every
-        freshly executed record so serial and pooled runs return
+        freshly executed record so serial and sharded runs return
         byte-identical results cell for cell.
         """
         return RunRecord(
@@ -197,8 +197,8 @@ _PLAIN_COLUMNS = (
 class RecordBatch:
     """A chunk of normalized records as cell-indexed parallel columns.
 
-    The batch is the bulk currency of the sweep layer: process-pool
-    workers fill one per chunk and ship it back as a single payload, the
+    The batch is the bulk currency of the sweep layer: sharded workers
+    fill one per chunk and ship it back as a single payload, the
     columnar JSONL writer encodes one per flush, and resume/aggregation
     read columns instead of grouping record objects.
 
@@ -311,7 +311,7 @@ class RecordBatch:
         cell's); every cell is stored as its :func:`CellDelta
         <repro.scenarios.scenario.scenario_delta>` against it.  The dict is
         JSON-ready (``json.dumps`` stringifies the int pid keys of the
-        decision columns) and pickles compactly across a process pool.
+        decision columns) and pickles compactly across a process boundary.
 
         ``deltas`` short-circuits the per-cell :func:`scenario_delta` pass
         with deltas the caller already holds — the sharded fabric's
@@ -344,7 +344,7 @@ class RecordBatch:
         """Inverse of :meth:`to_payload` (accepts wire and JSON-decoded forms).
 
         Key normalization makes the two sources converge: pid keys arrive
-        as ints off the process-pool wire and as strings out of
+        as ints off the worker wire and as strings out of
         ``json.loads``; both land as ints in the columns.
         """
         batch = cls()

@@ -1,9 +1,9 @@
 """Unified registries: algorithms, adversaries, and proposal workloads.
 
 This module is the single naming authority the scenario layer resolves
-against.  It absorbs the legacy ``harness.runner.ALGORITHMS`` and
-``workloads.crashes.ADVERSARIES`` tables and extends coverage to every
-algorithm shipped in the repository, across all four execution backends:
+against.  It absorbs the ``workloads.crashes.ADVERSARIES`` table and
+covers every algorithm shipped in the repository, across all four
+execution backends:
 
 ========== =========================================================
 backend     algorithms
@@ -22,7 +22,7 @@ Registration is explicit and duplicate-safe: :func:`register_algorithm`,
 ``replace=True`` is passed, and lookups of unknown names raise with the
 list of available names.  Entries registered at import time here are what
 worker processes of a sweep see; user extensions must be registered at
-module import time to be visible across a process pool.
+module import time to be visible to sharded sweep workers.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ and live while replicas crash under it.
   "kill:leader,after=3,every=4"``), and degrades honestly when the crash
   budget runs out.
 
-See ``DESIGN.md`` §3.7.
+See ``DESIGN.md`` §3.6.
 """
 
 from repro.service.loop import ConsensusService, ServiceReport

@@ -1,18 +1,20 @@
-"""PR 5 acceptance grid: byte-identical records across every data path.
+"""Byte-identical records across every data path.
 
 The columnar pipeline must be invisible in the results.  One grid of
 scenarios spanning three backends (extended, classic, async) × crashing
-adversaries × seeds is executed through every pair of alternatives the
-pipeline introduced, and the records must match dict for dict:
+adversaries × seeds is executed through each alternative, and the
+records must match dict for dict:
 
-* legacy vs columnar JSONL **writer** (including cross-format resume);
-* dict vs delta process-pool **wire** protocol;
+* columnar JSONL persistence, and resume from per-cell ``{"record": …}``
+  lines written by older versions (alone and mixed with batch lines);
+* the serial and the sharded executor;
 * fresh vs **refilled** engines (the lease path that skips the
   n-object process factory entirely).
 """
 
 from __future__ import annotations
 
+import json
 import warnings
 
 import pytest
@@ -50,27 +52,42 @@ def reference(grid):
     return [execute(cell, trace=False).to_dict() for cell in grid]
 
 
-class TestWriterParity:
-    def test_columnar_and_legacy_writers_match(self, grid, reference, tmp_path):
-        for writer in ("columnar", "legacy"):
-            runner = SweepRunner(
-                grid, jsonl_path=tmp_path / f"{writer}.jsonl", writer=writer
-            )
-            records = runner.run()
-            assert [r.to_dict() for r in records] == reference, writer
+def legacy_lines(rows) -> str:
+    """``{"record": row}`` lines, the per-cell layout older versions wrote."""
+    return "".join(json.dumps({"record": row}, sort_keys=True) + "\n" for row in rows)
 
-    def test_cross_format_resume(self, grid, reference, tmp_path):
-        # First half persisted columnar, rest appended by a legacy-writer
-        # rerun (and vice versa): resume must stitch both layouts together.
+
+class TestJsonlParity:
+    def test_columnar_file_matches_reference(self, grid, reference, tmp_path):
+        records = SweepRunner(grid, jsonl_path=tmp_path / "sweep.jsonl").run()
+        assert [r.to_dict() for r in records] == reference
+
+    def test_legacy_file_resumes_with_zero_executed(self, grid, reference, tmp_path):
+        path = tmp_path / "legacy.jsonl"
+        path.write_text(legacy_lines(reference))
+        runner = SweepRunner(grid, jsonl_path=path)
+        records = runner.run()
+        assert runner.executed == 0 and runner.resumed == len(grid)
+        assert [r.to_dict() for r in records] == reference
+
+    def test_legacy_then_columnar_resume(self, grid, reference, tmp_path):
+        # First half persisted as legacy record lines, the rest appended
+        # as batch lines by a rerun: resume must stitch both layouts.
         half = len(grid) // 2
-        for first, second in (("columnar", "legacy"), ("legacy", "columnar")):
-            path = tmp_path / f"{first}-{second}.jsonl"
-            SweepRunner(grid[:half], jsonl_path=path, writer=first).run()
-            runner = SweepRunner(grid, jsonl_path=path, writer=second)
-            records = runner.run()
-            assert runner.resumed == half
-            assert runner.executed == len(grid) - half
-            assert [r.to_dict() for r in records] == reference
+        path = tmp_path / "mixed.jsonl"
+        path.write_text(legacy_lines(reference[:half]))
+        runner = SweepRunner(grid, jsonl_path=path)
+        records = runner.run()
+        assert runner.resumed == half
+        assert runner.executed == len(grid) - half
+        assert [r.to_dict() for r in records] == reference
+        lines = path.read_text().splitlines()
+        assert all('"record"' in line for line in lines[:half])
+        assert all('"batch"' in line for line in lines[half:])
+
+        rerun = SweepRunner(grid, jsonl_path=path)
+        assert [r.to_dict() for r in rerun.run()] == reference
+        assert rerun.executed == 0 and rerun.resumed == len(grid)
 
     def test_columnar_file_resumes_with_zero_executed(self, grid, tmp_path):
         path = tmp_path / "full.jsonl"
@@ -78,15 +95,6 @@ class TestWriterParity:
         rerun = SweepRunner(grid, jsonl_path=path)
         rerun.run()
         assert rerun.executed == 0 and rerun.resumed == len(grid)
-
-
-class TestWireParity:
-    def test_delta_and_dict_wire_match(self, grid, reference):
-        for wire in ("delta", "dict"):
-            records = SweepRunner(
-                grid, executor="process", processes=2, chunk_size=7, wire=wire
-            ).run()
-            assert [r.to_dict() for r in records] == reference, wire
 
 
 class TestRefillParity:
@@ -176,13 +184,13 @@ class TestRefillParity:
                 ), (algorithm, seed)
 
 
-class TestPoolAndSerialStillAgree:
+class TestShardedAndSerialAgree:
     def test_default_paths_end_to_end(self, grid, reference, tmp_path):
-        # The all-defaults pipeline (delta wire + columnar writer + leases
-        # everywhere) against the ground truth, with persistence on.
+        # The sharded pipeline (delta cells + slab scalars + per-shard
+        # batch files) against the ground truth, with persistence on.
         runner = SweepRunner(
-            grid, executor="process", processes=2,
-            jsonl_path=tmp_path / "default.jsonl",
+            grid, executor="sharded", processes=2,
+            jsonl_path=tmp_path / "shards",
         )
         records = runner.run()
         assert [r.to_dict() for r in records] == reference

@@ -1,11 +1,10 @@
-"""The execute() facade: backend coverage, spec verdicts, legacy parity."""
+"""The execute() facade: backend coverage, spec verdicts, CLI entry points."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.harness.runner import RunConfig, run_once
 from repro.scenarios import ALGORITHMS, Scenario, execute
 
 
@@ -114,11 +113,6 @@ class TestRejections:
         assert record.spec_ok, record.violations
 
 
-#: (algorithm, adversary) cells expressible by the legacy runner.  The
-#: extended model takes every adversary; the classic engines reject
-#: DURING_CONTROL crash points, so classic algorithms pair only with the
-#: adversaries whose schedules are classic-legal (legacy mapped "random"
-#: to "random-classic" and nothing else).
 PARITY_CELLS = [
     (algorithm, adversary)
     for algorithm, adversaries in (
@@ -131,37 +125,36 @@ PARITY_CELLS = [
 ]
 
 
-class TestLegacyParity:
-    """execute(scenario) reproduces legacy run_once byte for byte."""
+class TestRecordMatchesRaw:
+    """A synchronous record's fields agree with the engine's RunResult.
+
+    execute() reads decisions, decision rounds and crashes straight off
+    the engine's ledgers; the RunResult in ``record.raw`` derives them
+    per outcome.  The two must never drift apart.
+    """
 
     @pytest.mark.parametrize("algorithm,adversary", PARITY_CELLS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_decisions_and_rounds_identical(self, algorithm, adversary, seed):
-        n, t, f = 6, 5, 2
-        legacy = run_once(RunConfig(algorithm, n, t, f, adversary, seed))
-        record = execute(Scenario(algorithm=algorithm, n=n, t=t, f=f,
+        record = execute(Scenario(algorithm=algorithm, n=6, t=5, f=2,
                                   adversary=adversary, seed=seed))
-        assert record.decisions == legacy.decisions
-        assert record.decision_rounds == legacy.decision_rounds
-        assert record.crashed == legacy.crashed_pids
-        assert record.messages_sent == legacy.stats.messages_sent
-        assert record.bits_sent == legacy.stats.bits_sent
+        raw = record.raw
+        assert record.decisions == raw.decisions
+        assert record.decision_rounds == raw.decision_rounds
+        assert record.crashed == raw.crashed_pids
+        assert record.f_actual == raw.f
+        assert record.last_decision_round == raw.last_decision_round
+        assert record.messages_sent == raw.stats.messages_sent
+        assert record.bits_sent == raw.stats.bits_sent
 
     def test_value_bits_parity(self):
-        legacy = run_once(RunConfig("crw", 4, 3, 0, "none", 0, value_bits=128))
-        record = execute(RunConfig("crw", 4, 3, 0, "none", 0, 128).to_scenario())
-        assert record.bits_sent == legacy.stats.bits_sent == 3 * 128 + 3
+        record = execute(Scenario(algorithm="crw", n=4, t=3, f=0, adversary="none",
+                                  workload="sized", workload_params={"bits": 128}))
+        assert record.bits_sent == record.raw.stats.bits_sent == 3 * 128 + 3
 
-    def test_run_once_raw_is_run_result(self):
-        from repro.sync.result import RunResult
 
-        assert isinstance(run_once(RunConfig("crw", 4, 3, 0, "none", 0)), RunResult)
-
-    def test_run_once_rejects_non_sync_backends(self):
-        # run_once's declared contract is RunResult; async configs must
-        # fail immediately, not return a foreign result shape.
-        with pytest.raises(ConfigurationError, match="synchronous"):
-            run_once(RunConfig("mr99", 5, 2, 1, "coordinator-killer", 0))
+class TestCli:
+    """The CLI entry points built on execute()."""
 
     def test_cli_run_defaults_t_per_algorithm(self, capsys):
         # Legacy `run` without --t must use the algorithm's own t rule:
@@ -201,7 +194,7 @@ class TestLegacyParity:
         assert err.startswith("error: unknown algorithm 'paxos'")
 
     def test_cli_run_uses_registered_spec(self, capsys):
-        # RunConfig now accepts every registered algorithm; the CLI must
+        # `run` accepts every registered algorithm; the CLI must
         # judge each with its registered checker (IC decides vectors,
         # which the plain validity clause would wrongly flag).
         from repro.harness.cli import main

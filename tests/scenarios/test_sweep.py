@@ -1,4 +1,8 @@
-"""SweepRunner: executor equivalence, JSONL persistence, resume."""
+"""SweepRunner: the serial executor, JSONL persistence, resume.
+
+Sharded-executor parity with serial is pinned in
+``tests/fabric/test_sharded_sweep.py``.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +12,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.scenarios import (
-    RunRecord,
     Scenario,
     SweepRunner,
+    execute,
     expand_grid,
     summarize_records,
 )
@@ -84,25 +88,35 @@ class TestExpandGrid:
 
 class TestSweepRunner:
     def test_serial_matches_individual_execute(self):
-        from repro.scenarios import execute
-
         cells = small_grid(seeds=2)
         records = SweepRunner(cells).run()
         assert len(records) == len(cells)
         spot = execute(cells[3])
         assert records[3].to_dict() == spot.to_dict()
 
-    def test_process_pool_equals_serial(self):
-        cells = small_grid(seeds=3)
-        serial = SweepRunner(cells, executor="serial").run()
-        pooled = SweepRunner(
-            cells, executor="process", processes=2, chunk_size=4
-        ).run()
-        assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
+    @pytest.mark.parametrize("executor", ["gpu", "process"])
+    def test_bad_executor_rejected(self, executor):
+        with pytest.raises(ConfigurationError, match="serial, sharded"):
+            SweepRunner([], executor=executor)
 
-    def test_bad_executor_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepRunner([], executor="gpu")
+    @pytest.mark.parametrize("knobs", [
+        {"processes": 8},
+        {"shards": 3},
+        {"processes": 8, "shards": 3},
+    ])
+    def test_serial_rejects_sharded_only_knobs(self, knobs):
+        # The serial loop has no workers or shards: silently running one
+        # process would misreport what the caller asked for.
+        with pytest.raises(ConfigurationError, match="require.*sharded"):
+            SweepRunner(small_grid(seeds=1), executor="serial", **knobs)
+
+    def test_cli_jobs_without_sharded_exits_2(self, capsys):
+        from repro.harness.cli import main
+
+        code = main(["scenario", "sweep", "-a", "crw", "--n", "4",
+                     "--seeds", "1", "--jobs", "4"])
+        assert code == 2
+        assert "processes require(s) the sharded executor" in capsys.readouterr().err
 
     def test_summarize_groups_by_cell(self):
         records = SweepRunner(small_grid(seeds=2)).run()
@@ -130,9 +144,8 @@ class TestSweepRunner:
 
 
 class TestJsonlResume:
-    def test_hundred_cell_pool_sweep_with_resume(self, tmp_path):
-        """ISSUE acceptance: a 100-cell sweep runs under the process pool
-        and resumes from its JSONL after interruption."""
+    def test_hundred_cell_sweep_with_resume(self, tmp_path):
+        """A 100-cell sweep resumes from its JSONL after interruption."""
         path = tmp_path / "sweep.jsonl"
         cells = expand_grid(
             ["crw"], [4], f_values=[0, 1], adversaries=("coordinator-killer",),
@@ -141,21 +154,19 @@ class TestJsonlResume:
         assert len(cells) == 100
 
         # "Interrupted" first attempt: only a prefix got persisted.
-        first = SweepRunner(cells[:37], executor="process", processes=2,
-                            chunk_size=10, jsonl_path=path)
+        first = SweepRunner(cells[:37], chunk_size=10, jsonl_path=path)
         first.run()
         assert first.executed == 37
 
         # Resumed full sweep: only the missing 63 cells execute.
-        full = SweepRunner(cells, executor="process", processes=2,
-                           chunk_size=10, jsonl_path=path)
+        full = SweepRunner(cells, chunk_size=10, jsonl_path=path)
         records = full.run()
         assert full.resumed == 37
         assert full.executed == 63
         assert len(records) == 100
 
-        # Records come back in input order and match a fresh serial run.
-        fresh = SweepRunner(cells, executor="serial").run()
+        # Records come back in input order and match a fresh run.
+        fresh = SweepRunner(cells).run()
         assert [r.to_dict() for r in records] == [r.to_dict() for r in fresh]
 
         # The file now covers every cell: a further rerun executes nothing.
@@ -204,15 +215,24 @@ class TestJsonlResume:
         assert resumed.executed == 0
         assert len(records) == len(cells)
 
-    def test_record_round_trips_through_legacy_jsonl(self, tmp_path):
-        path = tmp_path / "one.jsonl"
+    @pytest.mark.parametrize("damage", [
+        lambda row: row.pop("decisions"),
+        lambda row: row.update(decisions=[1, 2]),
+        lambda row: row.update(decision_rounds={"x": 1}),
+    ], ids=["missing-decisions", "list-decisions", "non-int-pid"])
+    def test_malformed_legacy_line_reruns_its_cell(self, tmp_path, damage):
+        # The scenario is valid (so the line keys onto a pending cell) but
+        # the body is not: resume must re-run the cell, not crash after
+        # every other cell has already executed.
+        path = tmp_path / "bad.jsonl"
         cell = Scenario(algorithm="crw", n=4, f=1, adversary="coordinator-killer")
-        (record,) = SweepRunner([cell], jsonl_path=path, writer="legacy").run()
-        with open(path, encoding="utf-8") as fh:
-            stored = RunRecord.from_dict(json.loads(fh.readline())["record"])
-        assert stored.scenario == cell
-        assert stored.decisions == record.decisions
-        assert stored.spec_ok == record.spec_ok
+        row = execute(cell).to_dict()
+        damage(row)
+        path.write_text(json.dumps({"record": row}, sort_keys=True) + "\n")
+        runner = SweepRunner([cell], jsonl_path=path)
+        (record,) = runner.run()
+        assert runner.executed == 1 and runner.resumed == 0
+        assert record == execute(cell).normalized()
 
     def test_record_round_trips_through_columnar_jsonl(self, tmp_path):
         from repro.scenarios import RecordBatch
@@ -227,15 +247,23 @@ class TestJsonlResume:
         assert stored == record  # full normalized-record equality
 
     def test_sized_payloads_serialize(self, tmp_path):
-        for writer in ("legacy", "columnar"):
-            path = tmp_path / f"sized-{writer}.jsonl"
-            cell = Scenario(algorithm="crw", n=4, workload="sized",
-                            workload_params={"bits": 64})
-            (record,) = SweepRunner([cell], jsonl_path=path, writer=writer).run()
-            assert record.spec_ok
-            line = json.loads(open(path, encoding="utf-8").readline())
-            if writer == "legacy":
-                decisions = line["record"]["decisions"]
-            else:
-                decisions = line["batch"]["decisions"][0]
-            assert list(decisions.values())[0] == {"$sized": [101, 64]}
+        path = tmp_path / "sized.jsonl"
+        cell = Scenario(algorithm="crw", n=4, workload="sized",
+                        workload_params={"bits": 64})
+        (record,) = SweepRunner([cell], jsonl_path=path).run()
+        assert record.spec_ok
+        line = json.loads(open(path, encoding="utf-8").readline())
+        decisions = line["batch"]["decisions"][0]
+        assert list(decisions.values())[0] == {"$sized": [101, 64]}
+
+    def test_sized_payloads_resume_from_legacy_lines(self, tmp_path):
+        path = tmp_path / "sized-legacy.jsonl"
+        cell = Scenario(algorithm="crw", n=4, workload="sized",
+                        workload_params={"bits": 64})
+        fresh = execute(cell, trace=False).normalized()
+        # One per-cell record line, the layout older versions wrote.
+        path.write_text(json.dumps({"record": fresh.to_dict()}, sort_keys=True) + "\n")
+        runner = SweepRunner([cell], jsonl_path=path)
+        (record,) = runner.run()
+        assert runner.executed == 0
+        assert record == fresh

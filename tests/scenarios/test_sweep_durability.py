@@ -2,8 +2,9 @@
 
 A sweep killed mid-chunk leaves a JSONL file whose tail is garbage: the
 final line may be torn mid-write (the buffered append was cut by the
-kill) and whole chunks may never have flushed.  The contract for both
-writers is:
+kill) and whole chunks may never have flushed.  The contract — for
+batch lines and for the per-cell ``{"record": …}`` lines older versions
+wrote — is:
 
 * resume must re-run **exactly** the cells whose records did not survive
   (never a survivor, never fewer than the lost set);
@@ -60,66 +61,79 @@ def _records_in(path) -> int:
     return count
 
 
-@pytest.mark.parametrize("writer", ["columnar", "legacy"])
-class TestKilledMidChunk:
-    def _interrupt(self, path, keep_lines: int, torn_bytes: int) -> None:
-        """Rewrite ``path`` as ``keep_lines`` full lines + a torn prefix of
-        the next line (``torn_bytes`` of it) — the on-disk state of a kill
-        mid-append."""
-        lines = path.read_bytes().splitlines(keepends=True)
-        assert keep_lines < len(lines), "test grid too small to interrupt"
-        torn = lines[keep_lines][:torn_bytes]
-        path.write_bytes(b"".join(lines[:keep_lines]) + torn)
+def _interrupt(path, keep_lines: int, torn_bytes: int) -> None:
+    """Rewrite ``path`` as ``keep_lines`` full lines + a torn prefix of the
+    next line (``torn_bytes`` of it) — the on-disk state of a kill
+    mid-append."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert keep_lines < len(lines), "test grid too small to interrupt"
+    torn = lines[keep_lines][:torn_bytes]
+    path.write_bytes(b"".join(lines[:keep_lines]) + torn)
 
+
+class TestKilledMidChunk:
     def test_resume_reruns_exactly_the_lost_cells(
-        self, writer, cells, uninterrupted, tmp_path
+        self, cells, uninterrupted, tmp_path
     ):
-        path = tmp_path / f"kill-{writer}.jsonl"
-        full = SweepRunner(cells, jsonl_path=path, writer=writer, chunk_size=4)
+        path = tmp_path / "kill.jsonl"
+        full = SweepRunner(cells, jsonl_path=path, chunk_size=4)
         full.run()
 
         # Kill: one full flush survives, the second line is torn mid-write,
         # everything after is lost (never flushed).
-        self._interrupt(path, keep_lines=1, torn_bytes=25)
+        _interrupt(path, keep_lines=1, torn_bytes=25)
         survived = _records_in(path)
         assert 0 < survived < len(cells)
 
-        resumed = SweepRunner(cells, jsonl_path=path, writer=writer, chunk_size=4)
+        resumed = SweepRunner(cells, jsonl_path=path, chunk_size=4)
         records = resumed.run()
         assert resumed.resumed == survived
         assert resumed.executed == len(cells) - survived
         assert [r.to_dict() for r in records] == uninterrupted
 
         # The healed file now covers everything: a further rerun is a no-op.
-        healed = SweepRunner(cells, jsonl_path=path, writer=writer)
+        healed = SweepRunner(cells, jsonl_path=path)
         healed.run()
         assert healed.executed == 0 and healed.resumed == len(cells)
 
     def test_torn_first_line_loses_nothing_but_that_chunk(
-        self, writer, cells, uninterrupted, tmp_path
+        self, cells, uninterrupted, tmp_path
     ):
         # Kill during the very first flush: only a torn prefix on disk.
-        path = tmp_path / f"first-{writer}.jsonl"
-        full = SweepRunner(cells, jsonl_path=path, writer=writer, chunk_size=4)
+        path = tmp_path / "first.jsonl"
+        full = SweepRunner(cells, jsonl_path=path, chunk_size=4)
         full.run()
-        self._interrupt(path, keep_lines=0, torn_bytes=40)
+        _interrupt(path, keep_lines=0, torn_bytes=40)
         assert _records_in(path) == 0
 
-        resumed = SweepRunner(cells, jsonl_path=path, writer=writer, chunk_size=4)
+        resumed = SweepRunner(cells, jsonl_path=path, chunk_size=4)
         records = resumed.run()
         assert resumed.resumed == 0 and resumed.executed == len(cells)
         assert [r.to_dict() for r in records] == uninterrupted
 
-    def test_pool_sweep_interrupted(self, writer, cells, uninterrupted, tmp_path):
-        # Same contract under the process executor (chunk flush per task).
-        path = tmp_path / f"pool-{writer}.jsonl"
-        SweepRunner(cells, jsonl_path=path, writer=writer,
-                    executor="process", processes=2, chunk_size=3).run()
-        self._interrupt(path, keep_lines=2, torn_bytes=10)
-        survived = _records_in(path)
-        resumed = SweepRunner(cells, jsonl_path=path, writer=writer,
-                              executor="process", processes=2, chunk_size=3)
+
+
+class TestTornLegacyTail:
+    def test_torn_record_line_reruns_only_its_cell(self, cells, uninterrupted, tmp_path):
+        # A file of per-cell record lines (the layout older versions
+        # wrote) killed mid-append: every complete line resumes, the torn
+        # cell and the never-written ones re-run, and the new records are
+        # appended as batch lines after the healed tail.
+        path = tmp_path / "legacy.jsonl"
+        path.write_text("".join(
+            json.dumps({"record": row}, sort_keys=True) + "\n"
+            for row in uninterrupted
+        ))
+        keep = len(cells) // 2
+        _interrupt(path, keep_lines=keep, torn_bytes=30)
+        assert _records_in(path) == keep
+
+        resumed = SweepRunner(cells, jsonl_path=path, chunk_size=4)
         records = resumed.run()
-        assert resumed.resumed == survived
-        assert resumed.executed == len(cells) - survived
+        assert resumed.resumed == keep
+        assert resumed.executed == len(cells) - keep
         assert [r.to_dict() for r in records] == uninterrupted
+
+        healed = SweepRunner(cells, jsonl_path=path)
+        healed.run()
+        assert healed.executed == 0 and healed.resumed == len(cells)
