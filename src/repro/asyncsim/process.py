@@ -12,7 +12,7 @@ Unlike the synchronous API there is no round structure: protocols must tag
 messages with their own round numbers (Section 4 of the paper points to
 exactly this as an intrinsic cost of asynchrony).
 
-Mirroring :class:`repro.sync.api.BatchedAlgorithm`, an asynchronous
+Mirroring :class:`repro.sync.api.VectorAlgorithm`, an asynchronous
 algorithm may additionally register a **columnar table**
 (:class:`AsyncBatchedTable` via :func:`register_async_table`): one object
 holding every process's state in pid-indexed parallel lists, fed raw
@@ -261,10 +261,9 @@ class AsyncBatchedTable(abc.ABC):
     def on_fd_change(self, observer: int) -> None:
         """``observer``'s suspect list may have changed."""
 
-    #: Refill capability advertisement (mirror of
-    #: :attr:`repro.sync.api.BatchedAlgorithm.supports_refill`): tables
-    #: that implement :meth:`refill` set this True, letting a leased
-    #: runner rerun a configuration without rebuilding processes or table.
+    #: Refill capability advertisement: tables that implement
+    #: :meth:`refill` set this True, letting a leased runner rerun a
+    #: configuration without rebuilding processes or table.
     supports_refill: bool = False
 
     def refill(self, proposals: Sequence[Any]) -> bool:

@@ -32,18 +32,16 @@ reached *anyone* without reaching ``p`` would have made the count drop), and
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.errors import ConfigurationError
 from repro.baselines.floodset import value_key
 from repro.sync.api import (
-    BatchedAlgorithm,
     RoundInbox,
     SendPlan,
     SyncProcess,
     VectorAlgorithm,
     VectorSend,
-    register_batched_table,
     register_vector_table,
 )
 from repro.util.columns import all_int64, bool_column, int_column, put, take
@@ -99,85 +97,6 @@ class EarlyStoppingConsensus(SyncProcess):
         self._prev_nbr = nbr
 
 
-@register_batched_table(EarlyStoppingConsensus)
-class _EarlyStoppingTable(BatchedAlgorithm):
-    """Columnar early-stopping: ``est``/``early``/``nbr`` in parallel lists."""
-
-    __slots__ = ("n", "horizon", "est", "early", "prev_nbr", "dests")
-
-    def __init__(self, processes: Sequence[SyncProcess]) -> None:
-        n = processes[0].n
-        self.n = n
-        self.horizon = [0] * (n + 1)
-        self.est: list[Any] = [None] * (n + 1)
-        self.early = [False] * (n + 1)
-        self.prev_nbr = [0] * (n + 1)
-        self.dests: list[tuple[int, ...]] = [()] * (n + 1)
-        for p in processes:
-            self.horizon[p.pid] = p.t + 1
-            self.est[p.pid] = p.est
-            self.early[p.pid] = p.early
-            self.prev_nbr[p.pid] = p._prev_nbr
-            self.dests[p.pid] = tuple(j for j in range(1, n + 1) if j != p.pid)
-
-    @classmethod
-    def from_processes(cls, processes: Sequence[SyncProcess]) -> "_EarlyStoppingTable":
-        return cls(processes)
-
-    supports_refill = True
-
-    def refill(self, proposals: Sequence[Any]) -> bool:
-        # Fresh state: est = proposal, early unset, nbr[0] = n; the horizon
-        # and destination tuples are configuration, kept as-is.
-        refill_column(self.est, proposals, offset=1)
-        fill_column(self.early, False, offset=1)
-        fill_column(self.prev_nbr, self.n, offset=1)
-        return True
-
-    def send_phase_all(self, round_no: int, active: Sequence[int]) -> dict[int, SendPlan]:
-        est = self.est
-        early = self.early
-        dests = self.dests
-        return {
-            pid: SendPlan(data=dict.fromkeys(dests[pid], (est[pid], early[pid])))
-            for pid in active
-        }
-
-    def compute_phase_all(
-        self, round_no: int, inboxes: Mapping[int, RoundInbox]
-    ) -> dict[int, Any]:
-        est = self.est
-        early = self.early
-        prev_nbr = self.prev_nbr
-        horizon = self.horizon
-        decisions: dict[int, Any] = {}
-        for pid, inbox in inboxes.items():
-            if early[pid]:
-                # The EARLY broadcast of this round completed: decide it.
-                decisions[pid] = est[pid]
-                continue
-            data = inbox.data
-            nbr = len(data) + 1
-            flagged = False
-            my_est = est[pid]
-            my_key = value_key(my_est)
-            for got, got_early in data.values():
-                key = value_key(got)
-                if key < my_key:
-                    my_est = got
-                    my_key = key
-                if got_early:
-                    flagged = True
-            est[pid] = my_est
-            if round_no == horizon[pid]:
-                decisions[pid] = my_est
-                continue
-            if flagged or nbr == prev_nbr[pid]:
-                early[pid] = True
-            prev_nbr[pid] = nbr
-        return decisions
-
-
 @register_vector_table(EarlyStoppingConsensus)
 class _EarlyStoppingVectorTable(VectorAlgorithm):
     """Array-columnar early-stopping: int64 ``est``/``nbr``, bool ``early``.
@@ -188,8 +107,8 @@ class _EarlyStoppingVectorTable(VectorAlgorithm):
     its ``nbr`` equals the active count, and the flag spreads to all or
     none.  Crash rounds reconstruct per receiver from the truncated
     sends (bounded by ``f`` rounds per run).  Requires plain-int
-    proposals and a uniform horizon; anything else falls back to the
-    list-batched table.
+    proposals and a uniform horizon; anything else steps the object
+    path.
     """
 
     __slots__ = ("n", "horizon", "est", "early", "prev_nbr", "dests")
@@ -224,8 +143,6 @@ class _EarlyStoppingVectorTable(VectorAlgorithm):
         return cls(
             n, horizon, int_column(est), bool_column(early), int_column(prev_nbr)
         )
-
-    supports_refill = True
 
     def refill(self, proposals: Sequence[Any]) -> bool:
         if not all_int64(proposals):

@@ -24,31 +24,19 @@ comparable value — comparison uses the wrapped value).
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.net.payload import SizedValue
 from repro.sync.api import (
-    EMPTY_INBOX,
     NO_SEND,
-    BatchedAlgorithm,
     RoundInbox,
     SendPlan,
     SyncProcess,
     VectorAlgorithm,
     VectorSend,
-    register_batched_table,
     register_vector_table,
 )
-from repro.util.columns import HAVE_NUMPY, int64_fits, np, or_at, take, uint64_column
-
-#: Fallback-path mask clamp: ``~known`` on Python ints goes negative, the
-#: ``array("Q")`` column only stores 64-bit non-negatives.
-_MASK64 = (1 << 64) - 1
-
-#: Shared "learned nothing" value for the relay column: only ever tested for
-#: emptiness or subtracted from, never mutated in place.
-_NOTHING_NEW: frozenset[Any] = frozenset()
 
 __all__ = ["FloodSetConsensus", "value_key"]
 
@@ -97,154 +85,103 @@ class FloodSetConsensus(SyncProcess):
             self.decide(min(self.known, key=value_key))
 
 
-@register_batched_table(FloodSetConsensus)
-class _FloodSetTable(BatchedAlgorithm):
-    """Columnar FloodSet: ``known``/``new`` sets in pid-indexed lists.
+def _universe(values: Iterable[Any]) -> list[Any] | None:
+    """``values`` deduplicated and sorted by :func:`value_key`, or None.
 
-    Every process broadcasts to the same (precomputed) destination tuple,
-    so a round's plans are ``dict.fromkeys`` calls instead of per-process
-    dict comprehensions behind a method dispatch.
+    None when the keys cannot be strictly ordered: unhashable or
+    incomparable keys, and ties — two values that are not the same value
+    (type and equality) but share a key.  With a tie the object path's
+    ``min(W, key=value_key)`` would depend on set iteration order, and
+    a set would silently merge equal values of different types
+    (``1 == True``), so such universes step the object path instead.
     """
-
-    __slots__ = ("n", "horizon", "known", "new", "dests")
-
-    def __init__(self, processes: Sequence[SyncProcess]) -> None:
-        n = processes[0].n
-        self.n = n
-        self.horizon = [0] * (n + 1)
-        self.known: list[set[Any]] = [set() for _ in range(n + 1)]
-        self.new: list[set[Any]] = [set() for _ in range(n + 1)]
-        self.dests: list[tuple[int, ...]] = [()] * (n + 1)
-        for p in processes:
-            self.horizon[p.pid] = p.horizon
-            self.known[p.pid] = set(p.known)
-            self.new[p.pid] = set(p._new)
-            self.dests[p.pid] = tuple(j for j in range(1, n + 1) if j != p.pid)
-
-    @classmethod
-    def from_processes(cls, processes: Sequence[SyncProcess]) -> "_FloodSetTable":
-        return cls(processes)
-
-    supports_refill = True
-
-    def refill(self, proposals: Sequence[Any]) -> bool:
-        # A fresh FloodSet process starts with W = new = {proposal}; the
-        # horizon and destination tuples are configuration, kept as-is.
-        known = self.known
-        new = self.new
-        for pid, proposal in enumerate(proposals, start=1):
-            known[pid] = {proposal}
-            new[pid] = {proposal}
-        return True
-
-    def send_phase_all(self, round_no: int, active: Sequence[int]) -> dict[int, SendPlan]:
-        plans: dict[int, SendPlan] = {}
-        horizon = self.horizon
-        new = self.new
-        dests = self.dests
-        for pid in active:
-            fresh = new[pid]
-            if round_no > horizon[pid] or not fresh:
-                plans[pid] = NO_SEND
-            else:
-                plans[pid] = SendPlan(
-                    data=dict.fromkeys(dests[pid], frozenset(fresh))
-                )
-        return plans
-
-    def compute_phase_all(
-        self, round_no: int, inboxes: Mapping[int, RoundInbox]
-    ) -> dict[int, Any]:
-        known = self.known
-        new = self.new
-        horizon = self.horizon
-        decisions: dict[int, Any] = {}
-        for pid, inbox in inboxes.items():
-            if inbox is EMPTY_INBOX:
-                new[pid] = _NOTHING_NEW  # W unchanged; stay silent next round
-            else:
-                incoming: set[Any] = set()
-                for values in inbox.data.values():
-                    incoming.update(values)
-                fresh = incoming - known[pid]
-                new[pid] = fresh
-                known[pid] |= fresh
-            if round_no == horizon[pid]:
-                decisions[pid] = min(known[pid], key=value_key)
-        return decisions
+    by_key: dict[Any, Any] = {}
+    try:
+        for v in values:
+            u = by_key.setdefault(value_key(v), v)
+            if u is not v and (type(u) is not type(v) or u != v):
+                return None
+        universe = sorted(by_key.values(), key=value_key)
+        keys = [value_key(v) for v in universe]
+        if not all(a < b for a, b in zip(keys, keys[1:])):
+            return None
+    except TypeError:
+        return None
+    return universe
 
 
 @register_vector_table(FloodSetConsensus)
 class _FloodSetVectorTable(VectorAlgorithm):
-    """Bitmask FloodSet: each value set as one uint64 word per process.
+    """Bitset FloodSet: each value set as one Python-int bitset per process.
 
-    Eligible when the run's value universe is at most 64 distinct plain
-    ints (and the horizon is uniform): value → bit position in ascending
-    value order, so set union is bitwise OR, "learned nothing new" is
+    Bit ``i`` stands for ``universe[i]``, the run's values sorted by
+    :func:`value_key`, so set union is ``|``, "learned nothing new" is
     ``incoming & ~known == 0``, and the horizon decision — the minimum of
-    ``W`` — is the lowest set bit.  The crash-free round is three
-    whole-column operations; payloads decode back to the exact frozensets
-    the object path sends (cached per mask, so repeated relays cost a
-    dict hit).
+    ``W`` — is the lowest set bit.  Python ints have no width cap, so any
+    universe the keys strictly order vectorizes (see :func:`_universe`
+    for what is declined), and a receiver's incoming set is one OR over
+    the masks that reached it.  Payloads decode back to the exact
+    frozensets the object path sends (cached per mask, so repeated
+    relays cost a dict hit).
     """
 
     __slots__ = ("n", "horizon", "universe", "bit_of", "known", "new", "dests", "_payloads")
 
-    def __init__(self, n: int, horizon: int, universe: list[int], known: Any, new: Any) -> None:
+    def __init__(self, n: int, horizon: int, universe: list[Any]) -> None:
         self.n = n
         self.horizon = horizon  # uniform t + 1
-        self.universe = universe  # bit -> value, ascending
-        self.bit_of = {v: i for i, v in enumerate(universe)}
-        self.known = known
-        self.new = new
         self.dests: list[tuple[int, ...]] = [
             tuple(j for j in range(1, n + 1) if j != pid) for pid in range(n + 1)
         ]
-        self._payloads: dict[int, frozenset[int]] = {}
+        self.known: list[int] = [0] * (n + 1)  # pid-indexed W bitsets
+        self.new: list[int] = [0] * (n + 1)  # values learned last round
+        self._payloads: dict[int, frozenset[Any]] = {}
+        self._set_universe(universe)
+
+    def _set_universe(self, universe: list[Any]) -> None:
+        self.universe = universe  # bit -> value
+        self.bit_of = {v: i for i, v in enumerate(universe)}
+        self._payloads.clear()
+
+    def _mask(self, values: Iterable[Any]) -> int:
+        bit_of = self.bit_of
+        mask = 0
+        for v in values:
+            mask |= 1 << bit_of[v]
+        return mask
 
     @classmethod
     def from_processes(cls, processes: Sequence[SyncProcess]) -> "_FloodSetVectorTable | None":
         horizon = processes[0].horizon
         if any(p.horizon != horizon for p in processes):
             return None
-        values: set[Any] = set()
-        for p in processes:
-            values |= p.known
-        if len(values) > 64 or not all(int64_fits(v) for v in values):
+        universe = _universe(v for p in processes for v in p.known)
+        if universe is None:
             return None
-        universe = sorted(values)
-        bit_of = {v: i for i, v in enumerate(universe)}
-        n = processes[0].n
-        known = [0] * (n + 1)
-        new = [0] * (n + 1)
+        table = cls(processes[0].n, horizon, universe)
         for p in processes:
-            for v in p.known:
-                known[p.pid] |= 1 << bit_of[v]
-            for v in p._new:
-                new[p.pid] |= 1 << bit_of[v]
-        return cls(n, horizon, universe, uint64_column(known), uint64_column(new))
-
-    supports_refill = True
+            table.known[p.pid] = table._mask(p.known)
+            table.new[p.pid] = table._mask(p._new)
+        return table
 
     def refill(self, proposals: Sequence[Any]) -> bool:
-        values = set(proposals)
-        if len(values) > 64 or not all(int64_fits(v) for v in values):
-            return False  # universe outgrew the mask: factory + reset instead
-        universe = sorted(values)
-        if universe != self.universe:
-            self.universe = universe
-            self.bit_of = {v: i for i, v in enumerate(universe)}
-            self._payloads.clear()
+        # A fresh FloodSet process starts with W = new = {proposal}; the
+        # horizon and destination tuples are configuration, kept as-is.
+        universe = _universe(proposals)
+        if universe is None:
+            return False  # factory + reset instead (mode re-detected)
+        if universe != self.universe or len(self._payloads) > 2 * self.n:
+            # Reruns over one universe reuse the decoded payloads; the
+            # bound keeps a long lease from accumulating every crash
+            # pattern's masks (one crash-free run decodes about 2n).
+            self._set_universe(universe)
         bit_of = self.bit_of
         masks = [1 << bit_of[v] for v in proposals]
-        known = self.known
-        new = self.new
-        for pid, mask in enumerate(masks, start=1):
-            known[pid] = mask
-            new[pid] = mask
+        self.known[1:] = masks
+        self.new[1:] = masks
         return True
 
-    def _payload(self, mask: int) -> frozenset[int]:
+    def _payload(self, mask: int) -> frozenset[Any]:
         """The frozenset the object path would send for this ``new`` mask."""
         cached = self._payloads.get(mask)
         if cached is None:
@@ -262,12 +199,9 @@ class _FloodSetVectorTable(VectorAlgorithm):
         if round_no > self.horizon:
             return []  # defensive, mirroring the object path
         dests = self.dests
+        new = self.new
         payload = self._payload
-        return [
-            (pid, dests[pid], payload(mask), ())
-            for pid, mask in zip(active, take(self.new, active))
-            if mask
-        ]
+        return [(pid, dests[pid], payload(new[pid]), ()) for pid in active if new[pid]]
 
     def compute_phase_vector(
         self,
@@ -279,64 +213,34 @@ class _FloodSetVectorTable(VectorAlgorithm):
     ) -> dict[int, Any]:
         known = self.known
         new = self.new
-        ro = receiver_order
-        if crash_free:
-            # Every receiver hears every speaker.  A receiver's own relay
-            # contributes only bits it already knows, so one global OR
-            # serves everyone: fresh = total & ~known.  The payloads were
-            # cut from the ``new`` column this very round, so the masks
-            # come straight back out of it — no frozenset re-encoding.
-            total = or_at(new, [s[0] for s in sends]) if sends else 0
-            if total:
-                self._or_in(total, ro)
+        # Full broadcasts reach every receiver: one OR serves them all.  A
+        # receiver's own relay adds only bits it already knows, so it need
+        # not be excluded.  The masks come straight out of the ``new``
+        # column (the payloads were cut from it this very round); only a
+        # crashing sender's truncated subset needs a per-receiver test.
+        full = self.n - 1
+        total = 0
+        partial = []
+        for sender, dests, _payload, _control in sends:
+            if len(dests) == full:
+                total |= new[sender]
             else:
-                self._clear_new(ro)
-        else:
-            full = self.n - 1
-            masks = [
-                (s[0], s[1], len(s[1]) == full, int(new[s[0]])) for s in sends
-            ]
-            for pid in ro:
-                incoming = 0
-                for sender, dests, is_full, mask in masks:
-                    if sender == pid:
-                        continue
-                    if is_full or pid in dests:
-                        incoming |= mask
-                k = int(known[pid])
-                fresh = incoming & ~k
-                new[pid] = fresh
-                known[pid] = k | fresh
+                partial.append((dests, new[sender]))
+        for pid in receiver_order:
+            incoming = total
+            for dests, mask in partial:
+                if pid in dests:
+                    incoming |= mask
+            k = known[pid]
+            fresh = incoming & ~k
+            new[pid] = fresh
+            known[pid] = k | fresh
         if round_no != self.horizon:
             return {}
         # Horizon: everyone decides min(W) — the lowest set bit.
         universe = self.universe
-        return {
-            pid: universe[(k & -k).bit_length() - 1]
-            for pid, k in zip(ro, take(known, ro))
-        }
-
-    def _or_in(self, total: int, ro: list[int]) -> None:
-        """``fresh = total & ~known; known |= fresh; new = fresh`` columnwise."""
-        known = self.known
-        new = self.new
-        if HAVE_NUMPY and isinstance(known, np.ndarray):
-            t = np.uint64(total)
-            k = known[ro]
-            fresh = t & ~k
-            new[ro] = fresh
-            known[ro] = k | fresh
-            return
-        for pid in ro:
+        decisions = {}
+        for pid in receiver_order:
             k = known[pid]
-            fresh = total & ~k & _MASK64
-            new[pid] = fresh
-            known[pid] = k | fresh
-
-    def _clear_new(self, ro: list[int]) -> None:
-        new = self.new
-        if HAVE_NUMPY and isinstance(new, np.ndarray):
-            new[ro] = 0
-            return
-        for pid in ro:
-            new[pid] = 0
+            decisions[pid] = universe[(k & -k).bit_length() - 1]
+        return decisions

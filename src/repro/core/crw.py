@@ -44,24 +44,18 @@ from typing import Any, Mapping, Sequence
 
 from repro.errors import ModelViolationError
 from repro.sync.api import (
-    EMPTY_INBOX,
     NO_SEND,
-    BatchedAlgorithm,
     RoundInbox,
     SendPlan,
     SyncProcess,
     VectorAlgorithm,
     VectorSend,
-    register_batched_table,
     register_vector_table,
 )
-from repro.util.columns import all_int64, int_column, put
+from repro.util.columns import put
 from repro.util.tables import refill_column
 
-__all__ = ["CRWConsensus", "CRWTable", "CRWVectorTable"]
-
-#: Missing-payload sentinel for the table's single-lookup inbox reads.
-_MISS = object()
+__all__ = ["CRWConsensus", "CRWVectorTable"]
 
 
 class CRWConsensus(SyncProcess):
@@ -114,15 +108,19 @@ class CRWConsensus(SyncProcess):
             self.decide(self.est)
 
 
-@register_batched_table(CRWConsensus)
-class CRWTable(BatchedAlgorithm):
+@register_vector_table(CRWConsensus)
+class CRWVectorTable(VectorAlgorithm):
     """Columnar Figure-1 table: every ``est`` in one pid-indexed list.
 
-    Round ``r`` of the algorithm touches one coordinator plan and, per
-    receiver, two inbox membership tests and at most one adoption — none
-    of which needs a per-process method dispatch.  The table mirrors
-    :class:`CRWConsensus` hook for hook (same plans, same adoptions, same
-    model-violation errors), which the batched parity grid pins.
+    Round ``r`` is a single coordinator send — one :data:`VectorSend`
+    with contiguous ``range`` destinations — and, crash-free, a closed
+    form: every receiver above the coordinator adopts and decides the
+    coordinator's value (one column scatter + one ``dict.fromkeys``).
+    Crash rounds fall back to set arithmetic over the truncated
+    destination subsets, still without per-pid plan or inbox objects.
+    The algorithm never inspects ``est`` beyond copying it, so a plain
+    list carries any payload (ints, bools, ``SizedValue``, service
+    commands) unchanged.  Subclassed by the ablation variants' tables.
     """
 
     __slots__ = ("n", "est")
@@ -132,100 +130,16 @@ class CRWTable(BatchedAlgorithm):
         self.est = est  # pid-indexed (slot 0 unused)
 
     @classmethod
-    def from_processes(cls, processes: Sequence[SyncProcess]) -> "CRWTable":
+    def from_processes(cls, processes: Sequence[SyncProcess]) -> "CRWVectorTable":
         est: list[Any] = [None] * (processes[0].n + 1)
         for p in processes:
             est[p.pid] = p.est
         return cls(processes[0].n, est)
 
-    supports_refill = True
-
     def refill(self, proposals: Sequence[Any]) -> bool:
         # A fresh Figure-1 process is just est = proposal; the est column
-        # is the table's only run-varying state (ablation subclasses reuse
-        # this — their extra behaviour lives in the hooks, not in state).
-        refill_column(self.est, proposals, offset=1)
-        return True
-
-    def send_phase_all(self, round_no: int, active: Sequence[int]) -> dict[int, SendPlan]:
-        if active and active[0] < round_no:
-            # Mirrors the per-process guard, raised for the same (lowest
-            # active) pid the per-process loop would have reached first.
-            raise ModelViolationError(
-                f"p{active[0]} reached round {round_no} > own id; "
-                "coordinators decide or crash at their own round (Figure 1: 'cannot happen')"
-            )
-        plans = dict.fromkeys(active, NO_SEND)
-        if round_no in plans:
-            plans[round_no] = SendPlan(
-                data=dict.fromkeys(
-                    range(round_no + 1, self.n + 1), self.est[round_no]
-                ),
-                control=tuple(range(self.n, round_no, -1)),
-            )
-        return plans
-
-    def compute_phase_all(
-        self, round_no: int, inboxes: Mapping[int, RoundInbox]
-    ) -> dict[int, Any]:
-        est = self.est
-        decisions: dict[int, Any] = {}
-        for pid, inbox in inboxes.items():
-            if inbox is EMPTY_INBOX:
-                # An empty inbox only matters to the coordinator (line 6:
-                # it decides its own estimate regardless of receipt).
-                if pid == round_no:
-                    decisions[pid] = est[pid]
-                continue
-            if pid == round_no:
-                decisions[pid] = est[pid]  # line 6: coordinator decides
-                continue
-            value = inbox.data.get(round_no, _MISS)
-            if value is not _MISS:  # line 7: adopt the coordinator's estimate
-                est[pid] = value
-                if round_no in inbox.control:  # line 8: locked -> decide
-                    decisions[pid] = value
-            elif round_no in inbox.control:
-                raise ModelViolationError(
-                    f"p{pid}: COMMIT from p{round_no} without its DATA in round {round_no}"
-                )
-        return decisions
-
-
-@register_vector_table(CRWConsensus)
-class CRWVectorTable(VectorAlgorithm):
-    """Array-columnar Figure-1 table: ``est`` as one int64 column.
-
-    Round ``r`` is a single coordinator send — one :data:`VectorSend`
-    with contiguous ``range`` destinations — and, crash-free, a closed
-    form: every receiver above the coordinator adopts and decides the
-    coordinator's value (one column write + one ``dict.fromkeys``).
-    Crash rounds fall back to set arithmetic over the truncated
-    destination subsets, still without per-pid plan or inbox objects.
-    Subclassed by the ablation variants' vector tables.
-    """
-
-    __slots__ = ("n", "est")
-
-    def __init__(self, n: int, est: Any) -> None:
-        self.n = n
-        self.est = est  # pid-indexed int64 column (slot 0 unused)
-
-    @classmethod
-    def from_processes(cls, processes: Sequence[SyncProcess]) -> "CRWVectorTable | None":
-        values = [p.est for p in processes]
-        if not all_int64(values):
-            return None  # non-int payloads: step list-batched instead
-        est = int_column([0] * (processes[0].n + 1))
-        for p in processes:
-            est[p.pid] = p.est
-        return cls(processes[0].n, est)
-
-    supports_refill = True
-
-    def refill(self, proposals: Sequence[Any]) -> bool:
-        if not all_int64(proposals):
-            return False  # fall back to factory + reset (mode re-detected)
+        # is the table's only run-varying state (the ablation subclasses
+        # reuse this — their extra behaviour lives in the hooks).
         refill_column(self.est, proposals, offset=1)
         return True
 
@@ -243,7 +157,7 @@ class CRWVectorTable(VectorAlgorithm):
         control = range(self.n, round_no, -1)
         if not data:  # p_n's round: nobody above it to tell
             return []
-        return [(round_no, data, int(self.est[round_no]), control)]
+        return [(round_no, data, self.est[round_no], control)]
 
     def compute_phase_vector(
         self,
@@ -259,7 +173,7 @@ class CRWVectorTable(VectorAlgorithm):
         if not sends:
             # Nothing escaped (dead coordinator, or p_n's empty round).
             if coord_alive:
-                decisions[round_no] = int(est[round_no])  # line 6
+                decisions[round_no] = est[round_no]  # line 6
             return decisions
         _sender, dests, value, control = sends[0]
         if crash_free:

@@ -214,6 +214,7 @@ def _worker_main(
     worker_id: int = 0,
     incarnation: int = 0,
     heartbeat: bool = False,
+    parent_ends: tuple = (),
 ) -> None:
     """Long-lived shard worker: recv shard tasks until ``stop`` (or EOF).
 
@@ -223,7 +224,14 @@ def _worker_main(
     ``faults`` (already bound) injects death/hang/torn/poison at the
     documented points; ``heartbeat`` adds an ``("hb", shard_id)`` pipe
     message per flushed chunk for the parent's liveness clock.
+
+    ``parent_ends`` are the parent-side pipe ends this worker inherited
+    (its own and its siblings'); closing them leaves the dispatcher the
+    only holder, so when it dies ``recv`` raises EOF and ``send`` a
+    broken pipe, and the worker exits instead of outliving it.
     """
+    for end in parent_ends:
+        end.close()
     slab = ScalarSlab.attach(shm_name, capacity)
     base = Scenario.from_dict(base_dict)
     lease = EngineLease()
@@ -270,6 +278,8 @@ def _worker_main(
                 completed, worker_id, incarnation
             ):
                 os._exit(_FAULT_EXIT)
+    except ConnectionError:
+        return  # parent died mid-shard; the manifest makes the rerun resume
     finally:
         slab.close()
         conn.close()
@@ -547,12 +557,13 @@ class ShardedSweep:
 
         ctx = get_context()
 
-        def spawn(child_conn, slab_name: str, index: int, incarnation: int):
+        def spawn(child_conn, slab_name: str, index: int, incarnation: int,
+                  parent_ends: list):
             proc = ctx.Process(
                 target=_worker_main,
                 args=(child_conn, slab_name, capacity, base_dict, directory,
                       self.chunk_size, faults, index, incarnation,
-                      liveness is not None),
+                      liveness is not None, parent_ends),
                 daemon=True,
             )
             proc.start()

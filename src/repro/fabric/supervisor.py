@@ -81,9 +81,11 @@ class Supervisor:
     capacity:
         Slab capacity (cells) for every worker's :class:`ScalarSlab`.
     spawn:
-        ``spawn(child_conn, slab_name, index, incarnation) -> Process``:
-        builds and **starts** the worker process.  The dispatcher owns
-        the target and its arguments; the supervisor owns the resources.
+        ``spawn(child_conn, slab_name, index, incarnation, parent_ends)
+        -> Process``: builds and **starts** the worker process.  The
+        dispatcher owns the target and its arguments; the supervisor owns
+        the resources.  ``parent_ends`` are the parent-side pipe ends the
+        worker must close first thing (see :meth:`_make`).
     max_respawns:
         Total replacement workers allowed across the whole sweep.  Once
         exhausted, :meth:`respawn` returns ``None`` and the dispatcher
@@ -116,8 +118,14 @@ class Supervisor:
     def _make(self, index: int, incarnation: int, queue: deque) -> WorkerHandle:
         slab = ScalarSlab.create(self._capacity)
         parent_conn, child_conn = self._ctx.Pipe()
+        # A forked worker inherits the parent-side end of its own pipe and
+        # of every live sibling's.  While any worker holds one, that pipe
+        # never reaches EOF, so workers of a killed dispatcher would wait
+        # in recv() forever; the worker closes these ends on start.
+        parent_ends = [h.conn for h in self.handles if not h.conn.closed]
+        parent_ends.append(parent_conn)
         try:
-            proc = self._spawn(child_conn, slab.name, index, incarnation)
+            proc = self._spawn(child_conn, slab.name, index, incarnation, parent_ends)
         except BaseException:
             parent_conn.close()
             child_conn.close()
@@ -128,7 +136,9 @@ class Supervisor:
 
     def start(self, n_workers: int) -> list[WorkerHandle]:
         """Spawn the initial fleet (incarnation 0, empty queues)."""
-        self.handles = [self._make(i, 0, deque()) for i in range(n_workers)]
+        self.handles = []
+        for i in range(n_workers):
+            self.handles.append(self._make(i, 0, deque()))
         return self.handles
 
     def live(self) -> list[WorkerHandle]:

@@ -62,7 +62,7 @@ class EngineLease:
         return len(self._engines)
 
     @staticmethod
-    def key_for(scenario: Scenario, trace: bool, batched: bool | str | None) -> tuple:
+    def key_for(scenario: Scenario, trace: bool, batched: bool | None) -> tuple:
         """The cache key: the full non-seed configuration, cheaply hashable.
 
         ``repr`` flattens the (JSON-typed, possibly nested) dict fields
@@ -186,18 +186,20 @@ def execute(
     scenario: Scenario,
     *,
     trace: bool = False,
-    batched: bool | str | None = None,
+    batched: bool | None = None,
     lease: EngineLease | None = None,
 ) -> RunRecord:
     """Run one scenario on its backend and return the normalized record.
 
-    ``batched`` is forwarded to the engines (None = auto: the fastest
-    eligible stepping mode — with tracing off, the synchronous engines
-    prefer a registered vector table, then the list-batched columnar
-    table, then per-process stepping.  ``"vector"`` requires the vector
-    table, ``True`` the list-batched one, and ``False`` forces
-    per-process/per-object stepping — the parity grids compare the
-    modes).  The ``ffd`` backend ignores it.
+    ``batched`` picks the stepping mode, with the same three values on
+    every backend: ``None`` (auto) takes the backend's fast path — the
+    synchronous vector table (tracing off) or the asynchronous columnar
+    table — whenever one accepts the processes, and the per-object
+    reference otherwise; ``True`` requires the fast path and raises
+    :class:`~repro.errors.ConfigurationError` when it is unavailable
+    (on the synchronous backends also when tracing is on); ``False``
+    forces the reference — the parity grids compare the two.  The
+    ``ffd`` backend ignores it.
 
     ``lease`` opts into engine reuse: runs whose non-seed configuration
     matches a previous run through the same :class:`EngineLease` reset
@@ -246,7 +248,7 @@ def _execute_sync(
     proposals: list[Any],
     rng: RandomSource,
     trace: bool,
-    batched: bool | str | None = None,
+    batched: bool | None = None,
     lease: EngineLease | None = None,
 ) -> RunRecord:
     from repro.sync.engine import ClassicSynchronousEngine
@@ -270,7 +272,7 @@ def _execute_sync(
     if lease is not None:
         key = EngineLease.key_for(scenario, trace, batched)
         engine = lease.get(key)
-    # A leased engine with a refillable batched table takes the run with
+    # A leased engine stepping a vector table takes the run with
     # no process construction at all: the table columns are rewritten in
     # place from the proposals.  Only when that is declined does the
     # n-object factory run (fresh construction or full reset).
@@ -337,11 +339,6 @@ def _execute_async(
     from repro.asyncsim.failure_detector import DetectorSpec
     from repro.asyncsim.runner import AsyncCrash, AsyncRunner
 
-    if batched == "vector":
-        raise ConfigurationError(
-            f'batched="vector" is synchronous-only; algorithm '
-            f"{scenario.algorithm!r} runs on the async backend"
-        )
     timing = dict(scenario.timing)
     _check_timing_keys(timing, "async")
     crashes = [

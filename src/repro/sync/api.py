@@ -34,10 +34,6 @@ __all__ = [
     "SyncProcess",
     "NO_SEND",
     "EMPTY_INBOX",
-    "BatchedAlgorithm",
-    "register_batched_table",
-    "batched_table_for",
-    "batched_table_refillable",
     "VectorSend",
     "VectorAlgorithm",
     "register_vector_table",
@@ -152,9 +148,7 @@ class RoundInbox:
 
 #: Shared inbox for receivers that heard nothing this round: frozensets are
 #: immutable and the data view is a read-only mapping proxy, so every such
-#: receiver can hold the same object without aliasing risk.  Batched tables
-#: identity-test against it to skip no-op receivers without touching the
-#: inbox's attributes.
+#: receiver can hold the same object without aliasing risk.
 EMPTY_INBOX = RoundInbox(data=MappingProxyType({}), control=frozenset())
 
 
@@ -223,123 +217,12 @@ class SyncProcess(abc.ABC):
         return f"{type(self).__name__}(pid={self.pid}, n={self.n}, {state})"
 
 
-# ---------------------------------------------------------------------------
-# Batched stepping: whole-table hooks over columnar process state.
-# ---------------------------------------------------------------------------
-
-
-class BatchedAlgorithm(abc.ABC):
-    """Columnar drop-in for a whole table of same-typed processes.
-
-    Engines normally drive one :class:`SyncProcess` at a time — two method
-    calls per (process, round).  An algorithm can additionally ship a
-    *batched table*: one object holding every process's state in parallel
-    lists, stepped with two calls per **round**.  The engine detects the
-    capability (see :func:`batched_table_for`) and runs the whole round
-    through it; everything downstream of the hooks — crash resolution,
-    delivery, accounting, tracing — is shared with per-process stepping,
-    so the two modes are observably identical
-    (``tests/sync/test_batched_parity.py`` pins this).
-
-    Contract (parity with per-process stepping depends on all three):
-
-    * :meth:`send_phase_all` returns a plan for **every** pid in
-      ``active``, in ``active`` order (``dict.fromkeys(active, NO_SEND)``
-      gives both for the common mostly-silent round), and must behave
-      exactly like calling ``send_phase`` on each process in that order —
-      including raising the same model violations;
-    * :meth:`compute_phase_all` consumes the engine-built inboxes (one
-      per surviving receiver, in ascending pid order) and returns the
-      round's new decisions ``{pid: value}`` in the order they were made;
-    * the table is the *authoritative* copy of algorithm state while the
-      engine steps in batched mode; the engine mirrors decisions back to
-      the process objects, but other per-process attributes (estimates,
-      value sets) are not kept in sync mid-run.
-    """
-
-    @classmethod
-    @abc.abstractmethod
-    def from_processes(cls, processes: Sequence[SyncProcess]) -> "BatchedAlgorithm":
-        """Build the columnar table from freshly constructed processes."""
-
-    @abc.abstractmethod
-    def send_phase_all(self, round_no: int, active: Sequence[int]) -> dict[int, SendPlan]:
-        """Plans for every active pid (silent processes map to NO_SEND)."""
-
-    @abc.abstractmethod
-    def compute_phase_all(
-        self, round_no: int, inboxes: Mapping[int, RoundInbox]
-    ) -> dict[int, Any]:
-        """Consume the round's inboxes; return new decisions ``{pid: value}``."""
-
-    #: Refill capability advertisement: tables that implement :meth:`refill`
-    #: set this True (the registry surfaces it through
-    #: :func:`batched_table_refillable`), letting a leased engine skip the
-    #: n-object process factory entirely on same-configuration reruns.
-    supports_refill: bool = False
-
-    def refill(self, proposals: Sequence[Any]) -> bool:
-        """Rewrite the columns in place for a fresh run with ``proposals``.
-
-        Returns True when the table took the refill (it must then be
-        byte-for-byte equivalent to ``from_processes`` over freshly
-        constructed processes of the same configuration — the refill
-        parity grid in ``tests/scenarios/test_columnar_parity.py`` pins
-        this), False when refilling is unsupported.  Configuration-shaped
-        state (``n``, per-process parameters like TruncatedCRW's ``k``,
-        destination tuples) is fixed across a lease and must not change.
-        """
-        return False
-
-
-#: Exact process type -> table factory.  Keyed by exact type (not
-#: ``isinstance``): a subclass overriding a hook must not silently inherit
-#: its parent's batched semantics — it opts in with its own table.
-_BATCHED_TABLES: dict[type, Callable[[Sequence[SyncProcess]], BatchedAlgorithm]] = {}
-
-
-def register_batched_table(
-    process_cls: type,
-) -> Callable[[type[BatchedAlgorithm]], type[BatchedAlgorithm]]:
-    """Class decorator: register a table implementation for ``process_cls``.
-
-    ::
-
-        @register_batched_table(CRWConsensus)
-        class CRWTable(BatchedAlgorithm): ...
-    """
-
-    def deco(table_cls: type[BatchedAlgorithm]) -> type[BatchedAlgorithm]:
-        if process_cls in _BATCHED_TABLES:
-            raise ConfigurationError(
-                f"{process_cls.__name__} already has a batched table"
-            )
-        _BATCHED_TABLES[process_cls] = table_cls.from_processes
-        return table_cls
-
-    return deco
-
-
-def batched_table_for(processes: Sequence[SyncProcess]) -> BatchedAlgorithm | None:
-    """The columnar table for ``processes``, or None when unavailable.
-
-    Requires a homogeneous table: every process of the exact registered
-    type.  Mixed tables (and wrappers like the cross-model simulations)
-    fall back to per-process stepping.
-    """
-    if not processes:
-        return None
-    cls = type(processes[0])
-    factory = _BATCHED_TABLES.get(cls)
-    if factory is None:
-        return None
-    if any(type(p) is not cls for p in processes):
-        return None
-    return factory(processes)
+class BatchedAlgorithm:  # empty; only perfbench/layers.py still imports it
+    pass
 
 
 # ---------------------------------------------------------------------------
-# Vectorized stepping: array-column hooks, no plans, no inboxes.
+# Vectorized stepping: whole-table hooks, no plans, no inboxes.
 # ---------------------------------------------------------------------------
 
 #: One speaker's outgoing traffic for one round, as a plain tuple
@@ -363,23 +246,22 @@ VectorSend = tuple  # (sender, data_dests, payload, control_dests)
 
 
 class VectorAlgorithm(abc.ABC):
-    """Array-columnar drop-in for a whole table of same-typed processes.
+    """Columnar fast path for a whole table of same-typed processes.
 
-    The third stepping mode, above :class:`BatchedAlgorithm`: where the
-    list-batched table still produces one :class:`SendPlan` and consumes
-    one :class:`RoundInbox` per process per round, a vector table
+    The per-process objects are the reference (they are what the paper
+    specifies); a vector table is the one fast path beside them.  It
+    holds every process's state in pid-indexed columns — plain lists,
+    Python-int bitsets, or typed arrays (:mod:`repro.util.columns`) —
     describes a round's traffic as a sparse list of :data:`VectorSend`
-    tuples (speakers only) and computes the round over typed array
-    columns (:mod:`repro.util.columns`) — whole-column compare/reduce
-    instead of per-pid loops.  The engine never materializes plans or
-    inboxes in this mode; it resolves crashes and charges accounting
-    straight off the send tuples.
+    tuples (speakers only), and computes the round column-wise.  The
+    engine never materializes plans or inboxes in this mode; it resolves
+    crashes and charges accounting straight off the send tuples.
 
-    Contract (byte-parity with the other modes depends on all of it):
+    Contract (byte-parity with the object path depends on all of it):
 
     * :meth:`from_processes` may return None when the processes' state is
-      not vectorizable (non-int64 values, heterogeneous configuration);
-      the engine then falls back to list-batched/per-process stepping.
+      not vectorizable (heterogeneous configuration, values the table
+      cannot order or encode); the engine then steps the object path.
     * :meth:`send_phase_vector` returns sends for **speakers only**, in
       ascending pid order, mirroring what the per-process ``send_phase``
       loop would have produced (including raising the same model
@@ -393,11 +275,13 @@ class VectorAlgorithm(abc.ABC):
       every receiver (no crash resolved this round), unlocking the
       uniform whole-column math; ``crash_free=False`` rounds take the
       table's per-receiver fallback over the truncated sends.
+    * The table is the authoritative copy of algorithm state while the
+      engine steps through it: decisions are mirrored back onto the
+      process objects, other per-process attributes are not.
 
     Vector tables are first-party mirrors of their process classes (the
     vector parity grid runs the validated object path against them), so
-    the engine does not re-validate their sends — same trust model as
-    the list-batched tables.
+    the engine does not re-validate their sends.
     """
 
     @classmethod
@@ -405,7 +289,7 @@ class VectorAlgorithm(abc.ABC):
     def from_processes(
         cls, processes: Sequence[SyncProcess]
     ) -> "VectorAlgorithm | None":
-        """Build the array-columnar table, or None when not vectorizable."""
+        """Build the columnar table, or None when not vectorizable."""
 
     @abc.abstractmethod
     def send_phase_vector(
@@ -424,23 +308,25 @@ class VectorAlgorithm(abc.ABC):
     ) -> dict[int, Any]:
         """Consume the round's (post-truncation) sends; return decisions."""
 
-    #: Same refill capability advertisement as :class:`BatchedAlgorithm`.
-    supports_refill: bool = False
-
+    @abc.abstractmethod
     def refill(self, proposals: Sequence[Any]) -> bool:
-        """Rewrite the array columns in place for a fresh run.
+        """Rewrite the columns in place for a fresh run with ``proposals``.
 
-        May return False when the new proposals are not vectorizable
-        (e.g. they stopped being int64s, or a FloodSet universe outgrew
-        its bitmask) — the engine then declines the refill and the caller
-        falls back to the factory + reset path, which re-detects the
-        stepping mode.
+        Returns True when the table took the refill (it must then be
+        byte-for-byte equivalent to ``from_processes`` over freshly
+        constructed processes of the same configuration — the refill
+        parity grid in ``tests/scenarios/test_columnar_parity.py`` pins
+        this), False when the new proposals are not vectorizable (the
+        engine then declines the refill and the caller falls back to the
+        factory + reset path, which re-detects the stepping mode).
+        Configuration-shaped state (``n``, TruncatedCRW's ``k``,
+        destination tuples) is fixed across a lease and must not change.
         """
-        return False
 
 
-#: Exact process type -> vector table factory (same exact-type discipline
-#: as the list-batched registry).
+#: Exact process type -> vector table factory.  Keyed by exact type (not
+#: ``isinstance``): a subclass overriding a hook must not silently inherit
+#: its parent's vector semantics — it opts in with its own table.
 _VECTOR_TABLES: dict[type, Callable[[Sequence[SyncProcess]], "VectorAlgorithm | None"]] = {}
 
 
@@ -478,19 +364,3 @@ def vector_table_for(processes: Sequence[SyncProcess]) -> "VectorAlgorithm | Non
         return None
     return factory(processes)
 
-
-def batched_table_refillable(process_cls: type) -> bool:
-    """Whether ``process_cls``'s registered table advertises ``refill``.
-
-    Registry-level introspection mirroring the check the engines make on
-    the live table (``table.supports_refill``) when a lease rerun asks to
-    skip the process factory; use it to answer the question without
-    building a table first.  Unregistered classes — and registrations
-    whose factory is a plain callable rather than a table classmethod —
-    report False.
-    """
-    factory = _BATCHED_TABLES.get(process_cls)
-    if factory is None:
-        return False
-    table_cls = getattr(factory, "__self__", None)
-    return bool(getattr(table_cls, "supports_refill", False))

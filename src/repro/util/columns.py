@@ -1,27 +1,27 @@
 """Typed array columns: numpy when available, stdlib ``array`` fallback.
 
-The columnar tables of PRs 3–5 hold per-process state in pid-indexed
-Python *lists*.  This module provides the array-backed replacement the
-vectorized tables build on: int64 / bool / uint64 columns that are numpy
-arrays when numpy is importable and :class:`array.array` buffers when it
-is not, plus a small set of element accessors (gather / scatter / reduce)
-that dispatch on the column's concrete type.
+Early-stopping's vector table (:mod:`repro.baselines.early_stopping`)
+holds its per-process state in int64 / bool columns: numpy arrays when
+numpy is importable, :class:`array.array` buffers when it is not, plus a
+small set of element accessors (gather / scatter) that dispatch on the
+column's concrete type.  The CRW-family tables keep plain lists and
+FloodSet keeps Python-int bitsets; :func:`put` and
+:mod:`repro.util.tables`'s refill helpers accept those lists too.
 
 Two properties every helper keeps, because the vectorized engine paths
 are pinned byte-identical to the object paths:
 
-* **Python scalars out.**  ``take`` / ``min_at`` / ``any_at`` /
-  ``or_at`` return built-in ``int`` / ``bool`` values (``tolist`` on the
-  numpy side), never numpy scalars — payloads and decisions feed the
-  bit-accounting memo and JSON serialization, both of which are
-  type-sensitive.
+* **Python scalars out.**  ``take`` returns built-in ``int`` / ``bool``
+  values (``tolist`` on the numpy side), never numpy scalars — payloads
+  and decisions feed the bit-accounting memo and JSON serialization,
+  both of which are type-sensitive.
 * **Backend equivalence.**  The numpy and fallback paths compute the
   same values; ``REPRO_NO_NUMPY=1`` forces the fallback so CI can pin
   the whole suite on it.
 
-Eligibility: the vectorized tables only engage when every value fits a
-plain int64 (:func:`all_int64`); anything else — ``SizedValue``, strings,
-service commands — falls back to the list-batched tables unchanged.
+Eligibility: array columns only hold plain int64 values
+(:func:`all_int64`); early-stopping over anything else — ``SizedValue``,
+strings, service commands — steps the object path.
 """
 
 from __future__ import annotations
@@ -37,15 +37,11 @@ __all__ = [
     "all_int64",
     "int_column",
     "bool_column",
-    "uint64_column",
     "is_array_column",
     "assign_slice",
     "fill_slice",
     "take",
     "put",
-    "min_at",
-    "any_at",
-    "or_at",
 ]
 
 if os.environ.get("REPRO_NO_NUMPY"):
@@ -101,15 +97,6 @@ def bool_column(values: Sequence[bool], *, offset: int = 0):
     return array("b", bytes(offset)) + array("b", [1 if v else 0 for v in values])
 
 
-def uint64_column(values: Sequence[int], *, offset: int = 0):
-    """A uint64 column (bitmask state, e.g. FloodSet value sets)."""
-    if np is not None:
-        col = np.zeros(len(values) + offset, dtype=np.uint64)
-        col[offset:] = values
-        return col
-    return array("Q", bytes(8 * offset)) + array("Q", values)
-
-
 def is_array_column(column: Any) -> bool:
     """Whether ``column`` is an array-backed column (numpy or ``array``)."""
     if isinstance(column, array):
@@ -145,7 +132,7 @@ def fill_slice(column: Any, value: Any, *, offset: int = 0) -> None:
         column[offset:] = [value] * (len(column) - offset)
 
 
-# -- element accessors (gather / scatter / reduce) --------------------------
+# -- element accessors (gather / scatter) ----------------------------------
 
 
 def take(column: Any, indices: Sequence[int]) -> list:
@@ -163,29 +150,3 @@ def put(column: Any, indices: Sequence[int], value: Any) -> None:
         return
     for i in indices:
         column[i] = value
-
-
-def min_at(column: Any, indices: Sequence[int]) -> int:
-    """``min(column[i] for i in indices)`` as a Python int."""
-    if np is not None and isinstance(column, np.ndarray):
-        return int(column[indices].min())
-    return min(column[i] for i in indices)
-
-
-def any_at(column: Any, indices: Sequence[int]) -> bool:
-    """``any(column[i] for i in indices)`` as a Python bool."""
-    if np is not None and isinstance(column, np.ndarray):
-        return bool(column[indices].any())
-    return any(column[i] for i in indices)
-
-
-def or_at(column: Any, indices: Sequence[int]) -> int:
-    """Bitwise OR over ``column[i] for i in indices`` as a Python int."""
-    if np is not None and isinstance(column, np.ndarray):
-        if not len(indices):
-            return 0
-        return int(np.bitwise_or.reduce(column[indices]))
-    out = 0
-    for i in indices:
-        out |= column[i]
-    return out

@@ -6,8 +6,8 @@ experiment record rendered by :mod:`repro.harness.report`, ``DESIGN.md``,
 PRs).
 
 The refill helpers serve a different kind of table: the pid-indexed
-columnar process tables of the batched engines
-(:class:`repro.sync.api.BatchedAlgorithm` /
+columnar process tables of the fast engine paths
+(:class:`repro.sync.api.VectorAlgorithm` /
 :class:`repro.asyncsim.process.AsyncBatchedTable`).  Their ``refill``
 implementations rewrite per-process state columns in place for a fresh
 run of the same configuration — new proposals in, constants re-armed —
@@ -18,11 +18,11 @@ and every one of them needs the same two moves, so they live here once:
   are 0-indexed; ``offset`` covers both conventions);
 * :func:`fill_column` — re-arm the per-pid slots with one constant.
 
-Columns may be plain Python lists (the list-batched tables) or
-array-backed (numpy / :class:`array.array`, the vectorized tables of
-:mod:`repro.util.columns`): both helpers dispatch on the column's
-concrete type, keeping the length check and in-place-rewrite contract
-identical across backends.
+Columns may be plain Python lists (the CRW-family and asynchronous
+tables) or array-backed (numpy / :class:`array.array`, early-stopping's
+columns from :mod:`repro.util.columns`): both helpers dispatch on the
+column's concrete type, keeping the length check and in-place-rewrite
+contract identical across backends.
 """
 
 from __future__ import annotations

@@ -154,6 +154,45 @@ print("COMPLETED", flush=True)
 """
 
 
+def _stat(pid: int) -> tuple[str, int, int] | None:
+    """``(state, ppid, start time)`` of ``pid`` from ``/proc``, or None."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1]), int(fields[19])
+
+
+def _descendants(pid: int) -> dict[int, int]:
+    """Every live descendant of ``pid`` → its start time (Linux ``/proc``)."""
+    stats = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _stat(int(entry))
+            if stat is not None:
+                stats[int(entry)] = stat
+    found: dict[int, int] = {}
+    frontier = {pid}
+    while frontier:
+        frontier = {
+            child for child, (_state, ppid, _start) in stats.items()
+            if ppid in frontier and child not in found
+        }
+        found.update((child, stats[child][2]) for child in frontier)
+    return found
+
+
+def _still_running(procs: dict[int, int]) -> list[int]:
+    """The pids of ``procs`` that are neither gone, reaped nor zombies."""
+    out = []
+    for pid, start in procs.items():
+        stat = _stat(pid)
+        if stat is not None and stat[2] == start and stat[0] != "Z":
+            out.append(pid)
+    return out
+
+
 class TestRealKill:
     def test_sigkill_mid_run_resumes_byte_identical(
         self, cells, serial_records, tmp_path
@@ -175,6 +214,8 @@ class TestRealKill:
         # Kill as soon as any shard bytes hit disk (mid-run with margin;
         # if the sweep still finishes first, resume degrades to a no-op
         # and the byte-identity assertions below still bite).
+        have_proc = os.path.isdir("/proc")
+        sweep_procs: dict[int, int] = {}
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
             if proc.poll() is not None:
@@ -183,10 +224,25 @@ class TestRealKill:
                 f.name.startswith("shard-") and f.stat().st_size > 0
                 for f in killed_dir.iterdir()
             ):
+                # The sweep's workers and resource tracker, just before
+                # their parent is killed.
+                if have_proc:
+                    sweep_procs = _descendants(proc.pid)
                 proc.send_signal(signal.SIGKILL)
                 break
             time.sleep(0.002)
         proc.wait(timeout=60)
+
+        # No process of the killed sweep may outlive it by more than a
+        # few seconds: workers see EOF (or a broken pipe after their
+        # in-flight shard) and exit, and the resource tracker follows.
+        linger = time.monotonic() + 5.0
+        while _still_running(sweep_procs) and time.monotonic() < linger:
+            time.sleep(0.05)
+        assert not _still_running(sweep_procs), (
+            f"processes of the killed sweep still running: "
+            f"{_still_running(sweep_procs)} of {sorted(sweep_procs)}"
+        )
 
         # Orphaned daemon workers exit after at most their in-flight
         # shard; wait for the directory to go quiet before resuming.

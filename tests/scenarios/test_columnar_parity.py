@@ -140,7 +140,7 @@ class TestRefillParity:
         assert {pid: id(p) for pid, p in runner_after.procs.items()} == proc_ids
 
     def test_refill_declined_falls_back_to_reset(self):
-        # interactive-consistency has no batched table: the lease must
+        # interactive-consistency has no vector table: the lease must
         # keep working through the factory + reset path.
         base = Scenario(algorithm="interactive-consistency", n=5, f=1,
                         adversary="coordinator-killer")
@@ -159,14 +159,21 @@ class TestRefillParity:
         with pytest.raises(ConfigurationError, match="proposals"):
             engine.refill([1, 2, 3])
 
-    def test_registry_advertises_refill_capability(self):
+    def test_registered_vector_tables_refill(self):
+        # Every vector table refills (refill is part of the protocol, not
+        # an advertised capability); a class without a table has none.
         from repro.baselines.floodset import FloodSetConsensus
         from repro.core.crw import CRWConsensus
-        from repro.sync.api import SyncProcess, batched_table_refillable
+        from repro.core.variants import SilentProcess
+        from repro.sync.api import vector_table_for
 
-        assert batched_table_refillable(CRWConsensus)
-        assert batched_table_refillable(FloodSetConsensus)
-        assert not batched_table_refillable(SyncProcess)  # no table registered
+        crw = vector_table_for([CRWConsensus(pid, 3, pid) for pid in (1, 2, 3)])
+        assert crw.refill([3, 2, 1])
+        flood = vector_table_for(
+            [FloodSetConsensus(pid, 3, pid, t=1) for pid in (1, 2, 3)]
+        )
+        assert flood.refill([3, 2, 1])
+        assert vector_table_for([SilentProcess(pid, 3, pid) for pid in (1, 2, 3)]) is None
 
     def test_every_registered_sync_table_refill_matches_from_processes(self):
         # Table-level parity: for each refillable sync algorithm, refill

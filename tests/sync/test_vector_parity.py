@@ -1,16 +1,16 @@
-"""Vector-stepping parity: array tables must match batched and object runs.
+"""Vector-stepping parity: vector tables must match object runs.
 
-PR 9's vector stepping protocol (``repro.sync.api.VectorAlgorithm``)
-replaces the per-process send/compute calls with whole-column operations
-over numpy (or ``array``) state.  The engine auto-detects a registered
-vector table whenever tracing is off, so this grid is the contract: for
-every algorithm that registered one, a vector run must be
-**byte-identical** to both the list-batched run and the per-process
-reference — the normalized RunRecord and every MessageStats counter —
-across adversaries, seeds, and engine reuse (fresh / leased / refilled).
+The vector stepping protocol (``repro.sync.api.VectorAlgorithm``)
+replaces the per-process send/compute calls with column-wise operations
+over table state.  The engine auto-detects a registered vector table
+whenever tracing is off, so this grid is the contract: for every
+algorithm that registered one, a vector run must be **byte-identical**
+to the per-process reference — the normalized RunRecord and every
+MessageStats counter — across adversaries, seeds, and engine reuse
+(fresh / leased / refilled).
 
-The same file runs under ``REPRO_NO_NUMPY=1`` in CI, pinning the stdlib
-``array`` fallback to the same bytes.
+The same file runs under ``REPRO_NO_NUMPY=1`` in CI, pinning
+early-stopping's stdlib ``array`` columns to the same bytes.
 """
 
 from __future__ import annotations
@@ -65,13 +65,11 @@ def test_records_and_stats_identical(algorithm, adversary, seed):
     scenario = Scenario(
         algorithm=algorithm, n=6, f=2, adversary=adversary, seed=seed,
     )
-    vector = execute(scenario, batched="vector")
-    batched = execute(scenario, batched=True)
+    vector = execute(scenario, batched=True)
     reference = execute(scenario, batched=False)
 
     # The normalized record agrees field for field (to_dict drops `raw`).
     assert vector.to_dict() == reference.to_dict()
-    assert vector.to_dict() == batched.to_dict()
 
     # And the raw per-kind counters agree individually — messages_sent /
     # bits_sent alone could mask compensating errors between kinds or
@@ -88,12 +86,12 @@ def test_auto_mode_engages_the_vector_table(algorithm):
 
     scenario = Scenario(algorithm=algorithm, n=5, f=1, adversary="staggered", seed=3)
     auto = execute(scenario)
-    explicit = execute(scenario, batched="vector")
+    explicit = execute(scenario, batched=True)
     reference = execute(scenario, batched=False)
     assert auto.to_dict() == explicit.to_dict() == reference.to_dict()
 
-    # The auto-detected engine really holds a vector table (and no
-    # list-batched one), on both engine classes.
+    # The auto-detected engine really holds a vector table, on both
+    # engine classes.
     algo = ALGORITHMS.get(algorithm)
     procs = algo.factory(5, 4, [1, 2, 3, 4, 5], {})
     cls = (
@@ -102,7 +100,6 @@ def test_auto_mode_engages_the_vector_table(algorithm):
     )
     engine = cls(procs, t=4, trace=False)
     assert engine._vtable is not None
-    assert engine._table is None
 
 
 class TestLeasedAndRefilled:
@@ -127,7 +124,7 @@ class TestLeasedAndRefilled:
     def test_vector_and_other_modes_key_separately(self):
         scenario = Scenario(algorithm="crw", n=5, f=1, adversary="coordinator-killer")
         lease = EngineLease()
-        a = execute(scenario, lease=lease, batched="vector")
+        a = execute(scenario, lease=lease, batched=None)
         b = execute(scenario, lease=lease, batched=True)
         c = execute(scenario, lease=lease, batched=False)
         assert a.to_dict() == b.to_dict() == c.to_dict()
@@ -138,53 +135,38 @@ class TestModeSelection:
     def test_vector_mode_requires_tracing_off(self):
         scenario = Scenario(algorithm="crw", n=4, f=1, adversary="none", seed=0)
         with pytest.raises(ConfigurationError, match="tracing"):
-            execute(scenario, trace=True, batched="vector")
+            execute(scenario, trace=True, batched=True)
 
-    def test_vector_mode_is_synchronous_only(self):
-        # mr99 is asynchronous: no sync vector table exists for it.
+    def test_batched_true_takes_the_async_fast_path(self):
+        # The flag means "require the fast path" on every backend: mr99
+        # steps its asynchronous columnar table.
         scenario = Scenario(algorithm="mr99", n=4, f=1, adversary="none", seed=0)
-        with pytest.raises(ConfigurationError, match="synchronous-only"):
-            execute(scenario, batched="vector")
+        assert (
+            execute(scenario, batched=True).to_dict()
+            == execute(scenario, batched=False).to_dict()
+        )
 
-    def test_ineligible_values_fall_back_to_batched(self):
-        """Non-int64 proposals (SizedValue) decline vectorization but keep
-        the list-batched table — auto mode still runs, byte-identical."""
+    def test_non_int_crw_payloads_vectorize(self):
+        """SizedValue, bool and service-command proposals all vectorize:
+        the CRW tables keep ``est`` in a plain list."""
         from repro.core.crw import CRWConsensus
         from repro.net.payload import SizedValue
-        from repro.sync.extended import ExtendedSynchronousEngine
+        from repro.rsm.machine import Command
 
-        def procs():
-            return [
-                CRWConsensus(pid, 4, SizedValue(pid, bits=128))
-                for pid in range(1, 5)
-            ]
+        for values in (
+            [SizedValue(pid, bits=128) for pid in range(1, 5)],
+            [pid == 1 for pid in range(1, 5)],
+            [Command(pid, f"put k {pid}") for pid in range(1, 5)],
+        ):
+            procs = [CRWConsensus(pid, 4, v) for pid, v in enumerate(values, 1)]
+            assert vector_table_for(procs) is not None
 
-        assert vector_table_for(procs()) is None
-
-        engine = ExtendedSynchronousEngine(procs(), t=3, trace=False)
-        assert engine._vtable is None
-        assert engine._table is not None  # fell back to the list table
-        result = engine.run()
-        reference = ExtendedSynchronousEngine(
-            procs(), t=3, trace=False, batched=False
-        ).run()
-        assert {p: o.decision for p, o in result.outcomes.items()} == {
-            p: o.decision for p, o in reference.outcomes.items()
-        }
-        assert result.stats == reference.stats
-
-    def test_bool_proposals_decline_vectorization(self):
-        from repro.core.crw import CRWConsensus
-
-        procs = [CRWConsensus(pid, 3, pid == 1) for pid in (1, 2, 3)]
-        assert vector_table_for(procs) is None
-
-    def test_oversized_floodset_universe_declines(self):
+    def test_wide_floodset_universe_vectorizes(self):
         from repro.baselines.floodset import FloodSetConsensus
 
-        n = 66  # 66 distinct values > the 64-bit mask
+        n = 66  # 66 distinct values: more than one 64-bit word
         procs = [FloodSetConsensus(pid, n, pid, t=1) for pid in range(1, n + 1)]
-        assert vector_table_for(procs) is None
+        assert vector_table_for(procs) is not None
 
 
 def test_sharded_sweep_runs_vectorized_cells(tmp_path):

@@ -17,19 +17,15 @@ from repro.errors import ConfigurationError
 from repro.util.columns import (
     HAVE_NUMPY,
     all_int64,
-    any_at,
     assign_slice,
     bool_column,
     fill_slice,
     int64_fits,
     int_column,
     is_array_column,
-    min_at,
     np,
-    or_at,
     put,
     take,
-    uint64_column,
 )
 from repro.util.tables import fill_column, refill_column
 
@@ -80,12 +76,6 @@ class TestConstructors:
         col = bool_column([True, False, True], offset=1)
         assert [bool(v) for v in col] == [False, True, False, True]
 
-    def test_uint64_column_holds_full_width_masks(self):
-        top = 1 << 63
-        col = uint64_column([top, 0], offset=1)
-        assert int(col[1]) == top
-        assert int(col[2]) == 0
-
     def test_plain_lists_are_not_array_columns(self):
         assert not is_array_column([1, 2])
         assert not is_array_column((1, 2))
@@ -115,13 +105,13 @@ class TestAccessorsOnFallbackArrays:
         put(col, [], 5)
         assert list(col) == [1, 2]
 
-    def test_min_any_or(self):
-        col = array("q", [9, 4, 7, 2])
-        assert min_at(col, [0, 2]) == 7
-        assert any_at(array("b", [0, 0, 1]), [0, 1]) is False
-        assert any_at(array("b", [0, 0, 1]), [0, 2]) is True
-        assert or_at(array("Q", [1, 2, 4]), [0, 2]) == 5
-        assert or_at(array("Q", [1, 2, 4]), []) == 0
+    def test_put_on_plain_lists_keeps_any_payload(self):
+        # The CRW-family vector tables keep ``est`` in a plain list, so
+        # the scatter must store the payload object itself.
+        payload = object()
+        col = [None, 1, 2, 3]
+        put(col, [1, 3], payload)
+        assert col[1] is payload and col[3] is payload and col[2] == 2
 
     def test_assign_and_fill_slice(self):
         col = array("q", [0, 1, 2, 3])
@@ -151,14 +141,6 @@ class TestAccessorsOnNumpy:
         col = int_column([1, 2])
         put(col, [], 9)  # numpy would reject an empty fancy-index assign
         assert list(col) == [1, 2]
-
-    def test_reducers_return_builtin_scalars(self):
-        col = int_column([9, 4, 7])
-        assert type(min_at(col, [0, 2])) is int
-        assert type(any_at(bool_column([True]), [0])) is bool
-        assert type(or_at(uint64_column([3, 5]), [0, 1])) is int
-        assert or_at(uint64_column([3, 5]), [0, 1]) == 7
-        assert or_at(uint64_column([3]), []) == 0
 
     def test_fill_slice(self):
         col = int_column([1, 2, 3])
