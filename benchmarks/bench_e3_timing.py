@@ -31,21 +31,3 @@ def test_e3_kernel_roundcost(benchmark):
     # d=2: extended wins while f+1 < D/d = 50.
     assert wins[48] is True and wins[49] is False
 
-
-def test_e3_kernel_vectorized_grid(benchmark):
-    """The fine-resolution NumPy crossover map (1000 x 64 cells)."""
-    import numpy as np
-
-    from repro.timing.grid import crossover_curve, timing_grid
-
-    def kernel():
-        return timing_grid(100.0, np.linspace(0.0, 2.0, 1000), list(range(64)))
-
-    grid = benchmark(kernel)
-    assert grid["crw"].shape == (64, 1000)
-    # Flip positions match the analytic crossover curve.
-    curve = crossover_curve(100.0, list(range(64)))
-    fracs = np.linspace(0.0, 2.0, 1000)
-    for f in (0, 1, 7, 63):
-        row = grid["extended_wins"][f]
-        assert fracs[row][-1] < curve[f] <= fracs[~row][0] + 1e-9 if (~row).any() else True

@@ -44,7 +44,7 @@ from repro.sync.api import (
     VectorSend,
     register_vector_table,
 )
-from repro.util.columns import all_int64, bool_column, int_column, put, take
+from repro.util.columns import put
 from repro.util.tables import fill_column, refill_column
 
 __all__ = ["EarlyStoppingConsensus"]
@@ -97,9 +97,14 @@ class EarlyStoppingConsensus(SyncProcess):
         self._prev_nbr = nbr
 
 
+def _all_ints(values) -> bool:
+    """Whether every value is a plain ``int`` (not a ``bool`` subclass)."""
+    return all(type(v) is int for v in values)
+
+
 @register_vector_table(EarlyStoppingConsensus)
 class _EarlyStoppingVectorTable(VectorAlgorithm):
-    """Array-columnar early-stopping: int64 ``est``/``nbr``, bool ``early``.
+    """Columnar early-stopping: pid-indexed ``est``/``early``/``prev_nbr`` lists.
 
     The crash-free round has a closed form the whole-column state makes
     one pass: every sender reached every receiver, so each non-early
@@ -107,13 +112,16 @@ class _EarlyStoppingVectorTable(VectorAlgorithm):
     its ``nbr`` equals the active count, and the flag spreads to all or
     none.  Crash rounds reconstruct per receiver from the truncated
     sends (bounded by ``f`` rounds per run).  Requires plain-int
-    proposals and a uniform horizon; anything else steps the object
-    path.
+    proposals (``type(v) is int``: bools and ``SizedValue``s compare and
+    bit-size differently) and a uniform horizon; anything else steps the
+    object path.
     """
 
     __slots__ = ("n", "horizon", "est", "early", "prev_nbr", "dests")
 
-    def __init__(self, n: int, horizon: int, est: Any, early: Any, prev_nbr: Any) -> None:
+    def __init__(
+        self, n: int, horizon: int, est: list[int], early: list[bool], prev_nbr: list[int]
+    ) -> None:
         self.n = n
         self.horizon = horizon  # uniform t + 1
         self.est = est
@@ -130,7 +138,7 @@ class _EarlyStoppingVectorTable(VectorAlgorithm):
         horizon = processes[0].t + 1
         if any(p.t + 1 != horizon for p in processes):
             return None
-        if not all_int64([p.est for p in processes]):
+        if not _all_ints(p.est for p in processes):
             return None
         n = processes[0].n
         est = [0] * (n + 1)
@@ -140,12 +148,10 @@ class _EarlyStoppingVectorTable(VectorAlgorithm):
             est[p.pid] = p.est
             early[p.pid] = p.early
             prev_nbr[p.pid] = p._prev_nbr
-        return cls(
-            n, horizon, int_column(est), bool_column(early), int_column(prev_nbr)
-        )
+        return cls(n, horizon, est, early, prev_nbr)
 
     def refill(self, proposals: Sequence[Any]) -> bool:
-        if not all_int64(proposals):
+        if not _all_ints(proposals):
             return False
         refill_column(self.est, proposals, offset=1)
         fill_column(self.early, False, offset=1)
@@ -153,15 +159,11 @@ class _EarlyStoppingVectorTable(VectorAlgorithm):
         return True
 
     def send_phase_vector(self, round_no: int, active: Sequence[int]) -> list[VectorSend]:
-        # Every active process broadcasts (est, early) to all others; the
-        # payload tuples carry Python scalars (bit-accounting parity).
+        # Every active process broadcasts (est, early) to all others.
         dests = self.dests
-        ests = take(self.est, active)
-        earlies = take(self.early, active)
-        return [
-            (pid, dests[pid], (e, bool(ey)), ())
-            for pid, e, ey in zip(active, ests, earlies)
-        ]
+        est = self.est
+        early = self.early
+        return [(pid, dests[pid], (est[pid], early[pid]), ()) for pid in active]
 
     def compute_phase_vector(
         self,
@@ -178,8 +180,8 @@ class _EarlyStoppingVectorTable(VectorAlgorithm):
         ro = receiver_order
         if crash_free:
             # Senders == receivers: one global minimum, one shared nbr.
-            ests = take(est, ro)
-            earlies = take(early, ro)
+            ests = [est[pid] for pid in ro]
+            earlies = [early[pid] for pid in ro]
             m = min(ests)
             flagged = any(earlies)
             nbr = len(ro)
@@ -205,10 +207,9 @@ class _EarlyStoppingVectorTable(VectorAlgorithm):
         full = self.n - 1
         for pid in ro:
             if early[pid]:
-                decisions[pid] = int(est[pid])
+                decisions[pid] = est[pid]
                 continue
-            my_est = int(est[pid])
-            my_key = value_key(my_est)
+            my_est = est[pid]
             flagged = False
             count = 0
             for sender, dests, payload, _control in sends:
@@ -218,10 +219,8 @@ class _EarlyStoppingVectorTable(VectorAlgorithm):
                     continue  # truncated subset missing this receiver
                 count += 1
                 got, got_early = payload
-                key = value_key(got)
-                if key < my_key:
+                if got < my_est:  # plain ints: value_key is the identity
                     my_est = got
-                    my_key = key
                 if got_early:
                     flagged = True
             nbr = count + 1

@@ -32,10 +32,10 @@ prematurely destroy a segment the parent still owns.
 from __future__ import annotations
 
 import math
+from array import array
 from multiprocessing import shared_memory
 
 from repro.scenarios.record import RecordBatch
-from repro.util.columns import np
 
 __all__ = ["ScalarSlab", "INT_COLUMNS", "DEPTH"]
 
@@ -60,35 +60,27 @@ CELL_BYTES = _N_INTS * 8 + 8
 class ScalarSlab:
     """A ``DEPTH``-slotted shared-memory buffer of per-cell scalars."""
 
-    __slots__ = ("shm", "capacity", "_owner", "_ints", "_floats",
-                 "_np_ints", "_np_floats")
+    __slots__ = ("shm", "capacity", "_owner", "_ints", "_floats")
 
     def __init__(self, shm: shared_memory.SharedMemory, capacity: int,
                  owner: bool) -> None:
         self.shm = shm
         self.capacity = capacity
         self._owner = owner
-        # One contiguous int64 region then one float64 region per slot,
-        # viewed once — per-shard writes index the casts directly.  With
-        # numpy available, a (capacity, N_INTS) view per slot turns each
-        # column transfer into one strided C-level copy.
-        self._ints = []
-        self._floats = []
-        self._np_ints = []
-        self._np_floats = []
-        slot_bytes = capacity * CELL_BYTES
+        # Column-major slots: per slot, one int64 run of ``capacity``
+        # cells per INT_COLUMNS entry, then the float64 ``sim_time`` run.
+        # Each column is viewed once, so a transfer is one slice copy.
+        self._ints: list[list[memoryview]] = []
+        self._floats: list[memoryview] = []
+        run = capacity * 8
         for slot in range(DEPTH):
-            off = slot * slot_bytes
-            mid = off + capacity * _N_INTS * 8
-            ibuf = shm.buf[off:mid]
-            fbuf = shm.buf[mid:off + slot_bytes]
-            self._ints.append(ibuf.cast("q"))
-            self._floats.append(fbuf.cast("d"))
-            if np is not None:
-                self._np_ints.append(
-                    np.frombuffer(ibuf, dtype=np.int64).reshape(capacity, _N_INTS)
-                )
-                self._np_floats.append(np.frombuffer(fbuf, dtype=np.float64))
+            off = slot * capacity * CELL_BYTES
+            self._ints.append([
+                shm.buf[off + k * run:off + (k + 1) * run].cast("q")
+                for k in range(_N_INTS)
+            ])
+            mid = off + _N_INTS * run
+            self._floats.append(shm.buf[mid:mid + run].cast("d"))
 
     @property
     def name(self) -> str:
@@ -117,102 +109,45 @@ class ScalarSlab:
     # -- data path ---------------------------------------------------------
 
     def write(self, slot: int, batch: RecordBatch) -> None:
-        """Fill ``slot`` with the numeric columns of ``batch`` (worker side).
-
-        With numpy: one strided bulk assignment per column (the list →
-        int64 conversion happens in C).  The fallback loop writes the
-        same cell-major byte layout, so a slab written by either path
-        reads back identically from either path.
-        """
+        """Fill ``slot`` with the numeric columns of ``batch`` (worker side)."""
         count = len(batch)
         if count > self.capacity:
             raise ValueError(
                 f"batch of {count} cells exceeds slab capacity {self.capacity}"
             )
-        if self._np_ints:
-            cells = self._np_ints[slot][:count]
-            cells[:, 0] = batch.f_actual
-            cells[:, 1] = batch.rounds_executed
-            cells[:, 2] = batch.last_decision_round
-            cells[:, 3] = batch.messages_sent
-            cells[:, 4] = batch.bits_sent
-            cells[:, 5] = batch.spec_ok  # bools cast to 0/1
-            self._np_floats[slot][:count] = [
-                math.nan if t is None else t for t in batch.sim_time
-            ]
-            return
-        ints = self._ints[slot]
-        floats = self._floats[slot]
-        base = 0
-        for i in range(count):
-            ints[base] = batch.f_actual[i]
-            ints[base + 1] = batch.rounds_executed[i]
-            ints[base + 2] = batch.last_decision_round[i]
-            ints[base + 3] = batch.messages_sent[i]
-            ints[base + 4] = batch.bits_sent[i]
-            ints[base + 5] = 1 if batch.spec_ok[i] else 0
-            base += _N_INTS
-            t = batch.sim_time[i]
-            floats[i] = math.nan if t is None else t
+        for view, name in zip(self._ints[slot], INT_COLUMNS):
+            view[:count] = array("q", getattr(batch, name))  # bools as 0/1
+        self._floats[slot][:count] = array(
+            "d", [math.nan if t is None else t for t in batch.sim_time]
+        )
         # The result message on the pipe publishes the slot; nothing else
         # reads it until the parent has received that message.
 
     def read(self, slot: int, count: int) -> dict[str, list]:
         """Decode ``count`` cells of ``slot`` back into column lists (parent).
 
-        Always plain Python lists out (``tolist`` on the numpy side):
-        the columns land directly in a :class:`RecordBatch`, whose
-        records carry built-in ints/bools/floats.
+        Plain Python lists out: the columns land directly in a
+        :class:`RecordBatch`, whose records carry built-in
+        ints/bools/floats.
         """
-        if self._np_ints:
-            cells = self._np_ints[slot][:count]
-            return {
-                "f_actual": cells[:, 0].tolist(),
-                "rounds_executed": cells[:, 1].tolist(),
-                "last_decision_round": cells[:, 2].tolist(),
-                "messages_sent": cells[:, 3].tolist(),
-                "bits_sent": cells[:, 4].tolist(),
-                "spec_ok": (cells[:, 5] != 0).tolist(),
-                "sim_time": [
-                    None if math.isnan(t) else t
-                    for t in self._np_floats[slot][:count].tolist()
-                ],
-            }
-        ints = self._ints[slot]
-        floats = self._floats[slot]
-        out: dict[str, list] = {
-            "f_actual": [],
-            "rounds_executed": [],
-            "last_decision_round": [],
-            "messages_sent": [],
-            "bits_sent": [],
-            "spec_ok": [],
-            "sim_time": [],
+        out = {
+            name: view[:count].tolist()
+            for view, name in zip(self._ints[slot], INT_COLUMNS)
         }
-        base = 0
-        for i in range(count):
-            out["f_actual"].append(ints[base])
-            out["rounds_executed"].append(ints[base + 1])
-            out["last_decision_round"].append(ints[base + 2])
-            out["messages_sent"].append(ints[base + 3])
-            out["bits_sent"].append(ints[base + 4])
-            out["spec_ok"].append(bool(ints[base + 5]))
-            base += _N_INTS
-            t = floats[i]
-            out["sim_time"].append(None if math.isnan(t) else t)
+        out["spec_ok"] = [v != 0 for v in out["spec_ok"]]
+        out["sim_time"] = [
+            None if math.isnan(t) else t for t in self._floats[slot][:count].tolist()
+        ]
         return out
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
         """Drop this process's mapping (both sides)."""
-        # The memoryview casts and numpy frombuffer views pin the
-        # underlying buffer; release them before SharedMemory.close() or
-        # it raises BufferError.
+        # The memoryview casts pin the underlying buffer; release them
+        # before SharedMemory.close() or it raises BufferError.
         self._ints.clear()
         self._floats.clear()
-        self._np_ints.clear()
-        self._np_floats.clear()
         self.shm.close()
 
     def unlink(self) -> None:

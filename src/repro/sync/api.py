@@ -250,12 +250,12 @@ class VectorAlgorithm(abc.ABC):
 
     The per-process objects are the reference (they are what the paper
     specifies); a vector table is the one fast path beside them.  It
-    holds every process's state in pid-indexed columns — plain lists,
-    Python-int bitsets, or typed arrays (:mod:`repro.util.columns`) —
-    describes a round's traffic as a sparse list of :data:`VectorSend`
-    tuples (speakers only), and computes the round column-wise.  The
-    engine never materializes plans or inboxes in this mode; it resolves
-    crashes and charges accounting straight off the send tuples.
+    holds every process's state in pid-indexed columns — plain lists or
+    Python-int bitsets — describes a round's traffic as a sparse list of
+    :data:`VectorSend` tuples (speakers only), and computes the round
+    column-wise.  The engine never materializes plans or inboxes in this
+    mode; it resolves crashes and charges accounting straight off the
+    send tuples.
 
     Contract (byte-parity with the object path depends on all of it):
 

@@ -1,11 +1,8 @@
 """The Section 2.2 round-cost model and crossover analysis."""
 
-from repro.timing.grid import crossover_curve, timing_grid
 from repro.timing.model import RoundCost, TimingPoint, crossover_d, timing_series
 
 __all__ = [
-    "crossover_curve",
-    "timing_grid",
     "RoundCost",
     "TimingPoint",
     "crossover_d",

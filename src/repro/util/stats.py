@@ -1,8 +1,6 @@
 """Tiny summary-statistics helpers used by the harness and benchmarks.
 
-Deliberately dependency-free (no numpy import at module scope) so that the
-core library stays importable in minimal environments; the benchmark layer
-may still use numpy for heavier analysis.
+Standard library only, like the rest of the package.
 """
 
 from __future__ import annotations

@@ -18,11 +18,8 @@ and every one of them needs the same two moves, so they live here once:
   are 0-indexed; ``offset`` covers both conventions);
 * :func:`fill_column` — re-arm the per-pid slots with one constant.
 
-Columns may be plain Python lists (the CRW-family and asynchronous
-tables) or array-backed (numpy / :class:`array.array`, early-stopping's
-columns from :mod:`repro.util.columns`): both helpers dispatch on the
-column's concrete type, keeping the length check and in-place-rewrite
-contract identical across backends.
+Columns are plain Python lists (every vector table keeps its state that
+way); both helpers rewrite them in place.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from collections.abc import Sequence
 from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.util.columns import assign_slice, fill_slice
 
 __all__ = [
     "Table",
@@ -42,29 +38,26 @@ __all__ = [
 ]
 
 
-def refill_column(column: Any, values: Sequence[Any], *, offset: int = 0) -> None:
+def refill_column(column: list, values: Sequence[Any], *, offset: int = 0) -> None:
     """Overwrite ``column[offset:]`` in place from the 0-indexed ``values``.
 
     The column object (and anything holding a reference to it) survives;
     only its per-pid slots change — which is the whole point of a table
-    refill: no list, no table, no array, and no process objects are
-    reallocated.  Works on list, numpy, and ``array.array`` columns; the
-    length check runs up front for all of them (a bare numpy slice
-    assignment would broadcast a scalar or raise a shape error with a
-    less useful message, and an ``array`` slice assignment would silently
-    resize).
+    refill: no list, no table, and no process objects are reallocated.
+    The length check runs up front: a bare slice assignment would
+    silently resize the column.
     """
     if len(column) - offset != len(values):
         raise ConfigurationError(
             f"column holds {len(column) - offset} slots but got "
             f"{len(values)} values"
         )
-    assign_slice(column, values, offset=offset)
+    column[offset:] = values
 
 
-def fill_column(column: Any, value: Any, *, offset: int = 0) -> None:
+def fill_column(column: list, value: Any, *, offset: int = 0) -> None:
     """Re-arm ``column[offset:]`` in place with a shared constant ``value``."""
-    fill_slice(column, value, offset=offset)
+    column[offset:] = [value] * (len(column) - offset)
 
 
 def _cell(value: Any) -> str:

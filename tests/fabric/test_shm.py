@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.fabric.shm import DEPTH, INT_COLUMNS, ScalarSlab
@@ -72,6 +74,50 @@ class TestRoundTrip:
         finally:
             other.close()
 
+    def test_full_slot_round_trips_through_a_second_mapping(self, slab):
+        # Every slot filled to capacity, mixed None/float times: the
+        # column runs must not overlap, and an attached mapping must
+        # decode builtin ints/bools/floats identical to the batch.
+        times = [None, 1.5, None, 2.25, 0.0, None, 1e-300, 7.0]
+        batches = [
+            RecordBatch.from_records(
+                [_record(10 * slot + i, t) for i, t in enumerate(times)]
+            )
+            for slot in range(DEPTH)
+        ]
+        for slot, batch in enumerate(batches):
+            slab.write(slot, batch)
+        other = ScalarSlab.attach(slab.name, capacity=8)
+        try:
+            for slot, batch in enumerate(batches):
+                out = other.read(slot, slab.capacity)
+                for name in INT_COLUMNS:
+                    assert out[name] == getattr(batch, name), (slot, name)
+                assert out["sim_time"] == times
+                assert all(type(v) is int for name in INT_COLUMNS[:-1]
+                           for v in out[name])
+                assert all(type(v) is bool for v in out["spec_ok"])
+        finally:
+            other.close()
+
+    def test_shorter_rewrite_reads_only_fresh_cells(self, slab):
+        # Column runs are sized by capacity, not by the batch: a shorter
+        # batch in a reused slot must land at the head of every column.
+        slab.write(0, RecordBatch.from_records([_record(i, 1.0) for i in range(8)]))
+        fresh = RecordBatch.from_records([_record(20 + i, None) for i in range(3)])
+        slab.write(0, fresh)
+        out = slab.read(0, 3)
+        for name in INT_COLUMNS:
+            assert out[name] == getattr(fresh, name), name
+        assert out["sim_time"] == [None] * 3
+
+    def test_int64_extremes_are_exact(self, slab):
+        big = (1 << 63) - 1
+        record = replace(_record(1, None), messages_sent=big, bits_sent=big - 1)
+        slab.write(1, RecordBatch.from_records([record]))
+        out = slab.read(1, 1)
+        assert (out["messages_sent"], out["bits_sent"]) == ([big], [big - 1])
+
     def test_overflow_rejected(self, slab):
         batch = RecordBatch.from_records([_record(i, None) for i in range(9)])
         with pytest.raises(ValueError, match="capacity"):
@@ -80,55 +126,3 @@ class TestRoundTrip:
 
 def test_depth_is_at_least_two_for_pipelining():
     assert DEPTH >= 2
-
-
-@pytest.mark.skipif(
-    not __import__("repro.util.columns", fromlist=["HAVE_NUMPY"]).HAVE_NUMPY,
-    reason="numpy not importable",
-)
-class TestNumpyLoopLayoutParity:
-    """The numpy bulk path and the loop fallback share one byte layout.
-
-    A slab written by a numpy worker must read back identically through
-    a no-numpy parent (and vice versa) — pinned here by flipping one
-    side of the round-trip onto the loop implementation.
-    """
-
-    @pytest.fixture
-    def batch(self):
-        times = [None, 1.5, None, 2.25]
-        return RecordBatch.from_records(
-            [_record(i, t) for i, t in enumerate(times)]
-        )
-
-    def _force_loop(self, slab):
-        views = slab._np_ints, slab._np_floats
-        slab._np_ints, slab._np_floats = [], []
-        return views
-
-    def test_numpy_write_loop_read(self, slab, batch):
-        assert slab._np_ints  # numpy path active
-        slab.write(0, batch)
-        views = self._force_loop(slab)
-        try:
-            out = slab.read(0, len(batch))
-        finally:
-            slab._np_ints, slab._np_floats = views
-        for name in INT_COLUMNS[:-1]:
-            assert out[name] == getattr(batch, name), name
-        assert out["spec_ok"] == batch.spec_ok
-        assert out["sim_time"] == batch.sim_time
-
-    def test_loop_write_numpy_read(self, slab, batch):
-        views = self._force_loop(slab)
-        try:
-            slab.write(1, batch)
-        finally:
-            slab._np_ints, slab._np_floats = views
-        out = slab.read(1, len(batch))
-        for name in INT_COLUMNS[:-1]:
-            assert out[name] == getattr(batch, name), name
-        assert out["spec_ok"] == batch.spec_ok
-        assert out["sim_time"] == batch.sim_time
-        assert all(type(v) is int for v in out["messages_sent"])
-        assert all(type(v) is bool for v in out["spec_ok"])

@@ -34,6 +34,22 @@ def _early_stopping_sized():
     ]
 
 
+def _early_stopping_bool():
+    # bool is an int subclass but bit-sizes and serializes differently.
+    return ClassicSynchronousEngine, [
+        EarlyStoppingConsensus(pid, N, pid % 2 == 0, t=N - 1)
+        for pid in range(1, N + 1)
+    ]
+
+
+def _early_stopping_one_bool():
+    # A single bool among plain ints declines the whole table.
+    values = [5, 4, True, 3, 2, 6]
+    return ClassicSynchronousEngine, [
+        EarlyStoppingConsensus(pid, N, v, t=N - 1) for pid, v in enumerate(values, 1)
+    ]
+
+
 def _floodset_key_tie():
     # SizedValue(1, 8) and SizedValue(1, 16) differ but share value_key 1.
     values = [SizedValue(1, bits=8), SizedValue(1, bits=16), 3, 4, 5, 6]
@@ -62,6 +78,8 @@ def _silent():
 
 CASES = {
     "early-stopping-sized": _early_stopping_sized,
+    "early-stopping-bool": _early_stopping_bool,
+    "early-stopping-one-bool": _early_stopping_one_bool,
     "floodset-key-tie": _floodset_key_tie,
     "floodset-int-bool-tie": _floodset_int_bool_tie,
     "truncated-mixed-k": _truncated_mixed_k,

@@ -12,6 +12,7 @@ engine's ledgers) and every MessageStats counter:
   algorithm, across adversaries and seeds;
 * FloodSet universes wider than one 64-bit word (n = 70 and n = 128);
 * CRW-family runs over service ``Command`` and ``bool`` proposals;
+* early-stopping over plain ints beyond the int64 range;
 * leased engines refilled across payload types.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.net.payload import SizedValue
 from repro.rsm.machine import Command
 from repro.scenarios import ADVERSARIES, ALGORITHMS, EngineLease, Scenario, execute
 from repro.sync.api import vector_table_for
@@ -153,6 +155,62 @@ def test_crw_family_over_command_and_bool_proposals(algorithm, adversary, make):
     for pid, proc in vector.procs.items():
         assert proc.decided == object_.procs[pid].decided
         assert proc.decision == object_.procs[pid].decision
+
+
+def _wide_ints(n: int, seed: int) -> list[int]:
+    # Straddles both int64 bounds: 2**63 and -2**63 - 1 and beyond.
+    edge = [1 << 63, -(1 << 63) - 1, (1 << 64) + seed, -(1 << 80)]
+    return [edge[pid % 4] + pid for pid in range(n)]
+
+
+@pytest.mark.parametrize("adversary", ["none", "staggered", "random-classic"])
+@pytest.mark.parametrize("seed", [0, 3, 9])
+def test_early_stopping_over_ints_beyond_int64(adversary, seed):
+    proposals = _wide_ints(7, seed)
+    auto, _ = _run_engine("early-stopping", proposals, adversary, seed, batched=None)
+    assert auto._vtable is not None  # auto mode takes every plain int
+    vector, fast = _run_engine("early-stopping", proposals, adversary, seed,
+                               batched=True)
+    object_, ref = _run_engine("early-stopping", proposals, adversary, seed,
+                               batched=False)
+    assert object_._vtable is None
+    assert _ledgers(vector, fast) == _ledgers(object_, ref)
+    assert all(type(d) is int for d in vector.decisions.values())
+
+
+def test_leased_early_stopping_refills_beyond_int64():
+    n = 7
+    engine, _ = _run_engine("early-stopping", list(range(n)), "random-classic", 1,
+                            batched=True)
+    table = engine._vtable
+    proposals = _wide_ints(n, 2)
+    rng = RandomSource(2)
+    schedule = ADVERSARIES.get("random-classic").make_sync(3).schedule(
+        n, n - 1, rng.spawn("adversary")
+    )
+    assert engine.refill(proposals, schedule, rng=rng.spawn("engine"))
+    assert engine._vtable is table  # refilled in place, not rebuilt
+    refilled = engine.run()
+    ref_engine, ref = _run_engine("early-stopping", proposals, "random-classic", 2,
+                                  batched=False)
+    assert _ledgers(engine, refilled) == _ledgers(ref_engine, ref)
+
+
+@pytest.mark.parametrize(
+    "odd_one", [True, SizedValue(2, bits=8)], ids=["bool", "sized"]
+)
+def test_leased_early_stopping_declines_non_int_refill(odd_one):
+    # Refill is all-or-nothing: one non-int proposal leaves the columns
+    # as they were, and the caller rebuilds through the object path.
+    n = 7
+    engine, _ = _run_engine("early-stopping", list(range(n)), "staggered", 1,
+                            batched=True)
+    table = engine._vtable
+    est = list(table.est)
+    proposals = [10 + pid for pid in range(n)]
+    proposals[3] = odd_one
+    assert not engine.refill(proposals)
+    assert engine._vtable is table and table.est == est
 
 
 @pytest.mark.parametrize("algorithm", CRW_FAMILY)

@@ -8,9 +8,6 @@ algorithm that registered one, a vector run must be **byte-identical**
 to the per-process reference — the normalized RunRecord and every
 MessageStats counter — across adversaries, seeds, and engine reuse
 (fresh / leased / refilled).
-
-The same file runs under ``REPRO_NO_NUMPY=1`` in CI, pinning
-early-stopping's stdlib ``array`` columns to the same bytes.
 """
 
 from __future__ import annotations

@@ -39,6 +39,18 @@ class TestRoundCost:
         cost = RoundCost(D=100.0, d=120.0)
         assert not cost.extended_wins(0)  # 220 > 200
 
+    @given(
+        D=st.floats(min_value=1.0, max_value=1e4),
+        frac=st.floats(min_value=0.0, max_value=2.0),
+        f=st.integers(0, 30),
+    )
+    def test_closed_forms_and_win_margin(self, D, frac, f):
+        cost = RoundCost(D=D, d=frac * D)
+        assert cost.crw_time(f) == pytest.approx((f + 1) * (D + frac * D))
+        assert cost.early_stopping_time(f) == pytest.approx((f + 2) * D)
+        margin = cost.early_stopping_time(f) - cost.crw_time(f)
+        assert cost.extended_wins(f) == (margin > 0)
+
     def test_crossover_boundary_exact(self):
         # d == D/(f+1) is the tie: strictly "wins" must be False.
         D, f = 100.0, 3
@@ -59,6 +71,11 @@ class TestCrossover:
             crossover_d(0.0, 1)
         with pytest.raises(ConfigurationError):
             crossover_d(1.0, -1)
+
+    def test_fraction_of_D_is_reciprocal_of_f_plus_one(self):
+        # As a share of D the crossover is 1/(f+1), whatever D is.
+        for f in range(10):
+            assert crossover_d(77.0, f) / 77.0 == pytest.approx(1 / (f + 1))
 
     @given(st.floats(min_value=0.1, max_value=1e6), st.integers(0, 50))
     def test_crossover_consistent_with_extended_wins(self, D, f):
@@ -82,6 +99,55 @@ class TestSeries:
         assert wins[-1] is False
         flips = sum(1 for a, b in zip(wins, wins[1:]) if a != b)
         assert flips == 1
+
+    def test_win_region_is_a_prefix_of_the_d_axis(self):
+        # For fixed f, extended wins from d = 0 up to the crossover and
+        # never again: at most one flip along a fine d/D axis.
+        fracs = tuple(k / 100 for k in range(201))
+        f_values = (0, 1, 2, 4, 8)
+        series = timing_series(100.0, f_values=f_values, d_fractions=fracs)
+        for f in f_values:
+            wins = [p.extended_wins for p in series if p.f == f]
+            assert wins[0] is True
+            assert sum(1 for a, b in zip(wins, wins[1:]) if a != b) <= 1
+
+    def test_validation(self):
+        with pytest.raises(ConfigurationError):
+            timing_series(0.0)
+        with pytest.raises(ConfigurationError):
+            timing_series(1.0, d_fractions=(-0.1,))
+        with pytest.raises(ConfigurationError):
+            timing_series(1.0, f_values=(-1,))
+
+    @given(
+        D=st.floats(min_value=1.0, max_value=1e4),
+        frac=st.floats(min_value=0.0, max_value=2.0),
+        f=st.integers(0, 30),
+    )
+    def test_points_match_scalar_model(self, D, frac, f):
+        (point,) = timing_series(D, f_values=(f,), d_fractions=(frac,))
+        cost = RoundCost(D=D, d=frac * D)
+        assert (point.f, point.d_over_D) == (f, frac)
+        assert point.crw == cost.crw_time(f)
+        assert point.early_stopping == cost.early_stopping_time(f)
+        assert point.extended_wins == cost.extended_wins(f)
+
+    def test_margin_sign_agrees_with_wins(self):
+        fracs = tuple(k / 20 for k in range(31))
+        for p in timing_series(50.0, f_values=(0, 3), d_fractions=fracs):
+            assert p.extended_wins == (p.early_stopping - p.crw > 0)
+
+    @pytest.mark.parametrize("f", [0, 1, 2, 4])
+    def test_flip_happens_just_below_crossover(self, f):
+        # The last winning d/D on a 0.001-step axis sits within one step
+        # below 1/(f+1); every later point loses.
+        fracs = tuple(k / 1000 for k in range(2001))
+        wins = [p.extended_wins
+                for p in timing_series(100.0, f_values=(f,), d_fractions=fracs)]
+        last_win = max(k for k, w in enumerate(wins) if w)
+        threshold = 1 / (f + 1)
+        assert threshold - 2e-3 <= fracs[last_win] < threshold
+        assert not any(wins[last_win + 1:])
 
     def test_f0_crossover_at_d_equals_D(self):
         # For f=0: 1*(D+d) vs 2D -> tie exactly at d = D.
