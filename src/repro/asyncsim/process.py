@@ -261,21 +261,18 @@ class AsyncBatchedTable(abc.ABC):
     def on_fd_change(self, observer: int) -> None:
         """``observer``'s suspect list may have changed."""
 
-    #: Refill capability advertisement: tables that implement
-    #: :meth:`refill` set this True, letting a leased runner rerun a
-    #: configuration without rebuilding processes or table.
-    supports_refill: bool = False
-
+    @abc.abstractmethod
     def refill(self, proposals: Sequence[Any]) -> bool:
         """Rewrite the columns in place for a fresh run with ``proposals``.
 
         Returns True when taken (the columns must then equal what
         ``from_processes`` over freshly constructed same-configuration
         processes would build — byte-identical runs, pinned by the refill
-        parity grid), False when unsupported.  The runner re-arms the
-        retained process objects' decision mirrors itself.
+        parity grid), False when the proposals cannot be taken.  The
+        runner re-arms the retained process objects' decision mirrors
+        itself, letting a leased runner rerun a configuration without
+        rebuilding processes or table.
         """
-        return False
 
 
 #: Exact process type -> table factory.  Keyed by exact type (not

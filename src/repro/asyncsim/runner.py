@@ -227,20 +227,20 @@ class AsyncRunner:
         """Rearm for a fresh run **without** a new process list.
 
         The factory-free sibling of :meth:`reset`: when the runner steps
-        through a batched table advertising ``refill``
-        (:attr:`~repro.asyncsim.process.AsyncBatchedTable.supports_refill`),
-        the table's columns are rewritten in place from ``proposals``, the
-        retained process objects are re-armed as decision mirrors
-        (decision slots cleared, ``proposal`` updated — their other
-        protocol attributes keep the previous run's values; the table is
-        authoritative), and queue/network/detector/stats are reset exactly
-        as :meth:`reset` would.  Returns False (taking no action) when no
-        refillable table is installed; callers then fall back to the
-        factory + :meth:`reset` path.  Refilled runs are byte-identical
-        to fresh ones (``tests/scenarios/test_columnar_parity.py``).
+        through a batched table, the table's columns are rewritten in
+        place from ``proposals``, the retained process objects are
+        re-armed as decision mirrors (decision slots cleared,
+        ``proposal`` updated — their other protocol attributes keep the
+        previous run's values; the table is authoritative), and
+        queue/network/detector/stats are reset exactly as :meth:`reset`
+        would.  Returns False (taking no action) when no table is
+        installed or it declines the proposals; callers then fall back
+        to the factory + :meth:`reset` path.  Refilled runs are
+        byte-identical to fresh ones
+        (``tests/scenarios/test_columnar_parity.py``).
         """
         table = self._table
-        if table is None or not table.supports_refill:
+        if table is None:
             return False
         if len(proposals) != self.n:
             raise ConfigurationError(

@@ -9,8 +9,6 @@ architecture the ROADMAP's million-cell tradeoff atlases run on:
 * :mod:`~repro.fabric.shm` — shared-memory slabs carrying the numeric
   record columns back from workers (only small object columns cross the
   pipe);
-* :mod:`~repro.fabric.shardio` — per-shard columnar JSONL files with
-  the torn-tail-healing per-cell resume;
 * :mod:`~repro.fabric.dispatcher` — :class:`ShardedSweep`, the
   work-stealing dispatcher over long-lived worker processes;
 * :mod:`~repro.fabric.supervisor` — worker lifecycle supervision for
@@ -51,9 +49,9 @@ from repro.fabric.manifest import (
     grid_hash,
     plan_shards,
 )
-from repro.fabric.shardio import heal_torn_tail, iter_shard_records, load_shard_index
 from repro.fabric.shm import ScalarSlab
 from repro.fabric.supervisor import Supervisor, WorkerHandle
+from repro.scenarios.record import heal_torn_tail, iter_shard_records, load_shard_index
 
 __all__ = [
     "ShardedSweep",

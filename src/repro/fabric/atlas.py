@@ -35,8 +35,7 @@ from typing import Any, Iterator
 
 from repro.errors import ConfigurationError
 from repro.fabric.manifest import QuarantineLog, ShardManifest
-from repro.fabric.shardio import iter_shard_records
-from repro.scenarios.record import RunRecord
+from repro.scenarios.record import RunRecord, iter_shard_records
 from repro.scenarios.sweep import CellSummary, summarize_record_sources
 
 __all__ = [

@@ -71,11 +71,16 @@ from typing import Any, Iterable, Sequence
 from repro.errors import ConfigurationError
 from repro.fabric.faults import FaultPlan
 from repro.fabric.manifest import QuarantineLog, ShardManifest, ShardSpec
-from repro.fabric.shardio import append_batch, heal_torn_tail, load_shard_index
 from repro.fabric.shm import ScalarSlab
 from repro.fabric.supervisor import Supervisor, WorkerHandle
 from repro.scenarios.execute import EngineLease, execute
-from repro.scenarios.record import RecordBatch, RunRecord
+from repro.scenarios.record import (
+    RecordBatch,
+    RunRecord,
+    append_batch,
+    heal_torn_tail,
+    load_shard_index,
+)
 from repro.scenarios.scenario import Scenario, scenario_delta, scenario_key
 
 __all__ = ["ShardedSweep"]

@@ -80,8 +80,7 @@ class ReplicatedLog:
         # One leased engine for the whole log: slot k+1 refills slot k's
         # engine (columnar est/decision rewrites, zero process
         # construction) instead of paying the n-object factory plus
-        # engine wiring per slot.  reset() is the fallback for the
-        # hypothetical non-refillable table.
+        # engine wiring per slot.
         self._engine: ExtendedSynchronousEngine | None = None
 
     # -- public API ---------------------------------------------------------------
@@ -127,16 +126,13 @@ class ReplicatedLog:
                 CRWConsensus(pid, self.n, proposal=proposals[pid - 1])
                 for pid in range(1, self.n + 1)
             ]
-            engine = ExtendedSynchronousEngine(
-                procs, schedule, t=self.t, rng=slot_rng, trace=False
+            # batched=True: the CRW table accepts any command payload and
+            # always takes a refill, so a missing table fails loudly here.
+            engine = self._engine = ExtendedSynchronousEngine(
+                procs, schedule, t=self.t, rng=slot_rng, trace=False, batched=True
             )
-            self._engine = engine
-        elif not engine.refill(proposals, schedule, rng=slot_rng):
-            procs = [
-                CRWConsensus(pid, self.n, proposal=proposals[pid - 1])
-                for pid in range(1, self.n + 1)
-            ]
-            engine.reset(procs, schedule, rng=slot_rng)
+        else:
+            engine.refill(proposals, schedule, rng=slot_rng)
         result = engine.run()
         spec = check_consensus(result, require_early_stopping=True)
 

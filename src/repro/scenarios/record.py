@@ -1,4 +1,4 @@
-"""The normalized result schema every backend reduces to.
+"""The normalized result schema every backend reduces to, and its record files.
 
 Whatever executes a scenario — round engine, asynchronous event queue, or
 the timed FFD environment — the caller gets one :class:`RunRecord`:
@@ -7,36 +7,62 @@ verdict, in backend-independent form.  The backend-native result object
 stays reachable via ``record.raw`` for callers that need model-specific
 detail (it is excluded from serialization).
 
-Records serialize to plain JSON (``to_dict``/``from_dict``) so sweeps can
-persist one record per line in a JSONL file and resume from it.  Decision
+Records serialize to plain JSON (``to_dict``/``from_dict``).  Decision
 payloads are mapped through :func:`jsonable` — value types the library
 uses (ints, strings, :class:`~repro.net.payload.SizedValue`, IC vectors,
 the ⊥ sentinels) all have stable encodings.
 
 Sweeps move records in bulk, and one dict per cell is the wrong shape for
 that: :class:`RecordBatch` holds a whole chunk of records as cell-indexed
-parallel columns.  A batch round-trips through the per-record row form
-(``to_rows``/``from_rows``), reduces straight to normalized records
-(``to_records``), and — paired with the :func:`CellDelta
+parallel columns.  A batch reduces straight to normalized records
+(``to_records``) and — paired with the :func:`CellDelta
 <repro.scenarios.scenario.scenario_delta>` wire format — encodes to one
 compact payload per chunk (``to_payload``/``from_payload``): one shared
 base-scenario dict plus per-cell deltas instead of a full scenario dict
 per record.  That payload is both the sharded workers' wire format and
-the columnar JSONL line format of the sweep layer.
+the line format of every sweep record file.
+
+A **record file** — the serial executor's JSONL file and each shard file
+of the sharded one — holds one ``{"batch": payload}`` line per flushed
+chunk, and this module owns its whole life cycle:
+
+* :func:`append_batch` encodes a chunk as one line and flushes it, so a
+  kill loses at most the in-flight chunk;
+* :func:`heal_torn_tail` terminates the torn final line a kill
+  mid-write leaves, so the first chunk appended on resume can never be
+  glued onto the fragment;
+* :func:`iter_shard_records` streams a file's records line by line (the
+  atlas layer reduces million-cell sweeps this way) and
+  :func:`load_shard_index` builds the per-cell resume index.  Both sit
+  on one line decoder, which skips every line that does not decode —
+  torn tails, foreign JSONL, malformed bodies, and the per-cell
+  ``{"record": …}`` lines of pre-columnar files — so their cells simply
+  re-run.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
+from repro.errors import ConfigurationError
 from repro.scenarios.scenario import (
     Scenario,
     apply_scenario_delta,
     scenario_delta,
 )
 
-__all__ = ["RunRecord", "RecordBatch", "jsonable"]
+__all__ = [
+    "RunRecord",
+    "RecordBatch",
+    "jsonable",
+    "append_batch",
+    "heal_torn_tail",
+    "iter_shard_records",
+    "load_shard_index",
+]
 
 #: JSON-native scalar types that pass through :func:`jsonable` unchanged —
 #: the overwhelmingly common decision payloads (ints) skip every check.
@@ -198,8 +224,8 @@ class RecordBatch:
     """A chunk of normalized records as cell-indexed parallel columns.
 
     The batch is the bulk currency of the sweep layer: sharded workers
-    fill one per chunk and ship it back as a single payload, the
-    columnar JSONL writer encodes one per flush, and resume/aggregation
+    fill one per chunk and ship it back as a single payload,
+    :func:`append_batch` encodes one per flush, and resume/aggregation
     read columns instead of grouping record objects.
 
     Append :meth:`normalized <RunRecord.normalized>` records only —
@@ -287,17 +313,6 @@ class RecordBatch:
             for i in range(len(self.scenarios))
         ]
 
-    # -- row form (the legacy one-dict-per-record shape) --------------------
-
-    def to_rows(self) -> list[dict[str, Any]]:
-        """Per-record :meth:`RunRecord.to_dict`-shaped dicts."""
-        return [record.to_dict() for record in self.to_records()]
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Mapping[str, Any]]) -> "RecordBatch":
-        """Rebuild a batch from :meth:`RunRecord.to_dict`-shaped rows."""
-        return cls.from_records(RunRecord.from_dict(row) for row in rows)
-
     # -- chunk payload (wire + columnar JSONL form) -------------------------
 
     def to_payload(
@@ -375,3 +390,99 @@ def _check_batch_columns() -> None:
 
 
 _check_batch_columns()
+
+
+# ---------------------------------------------------------------------------
+# Record files: one {"batch": payload} line per flushed chunk.
+# ---------------------------------------------------------------------------
+
+#: What decoding a torn, foreign or malformed line can raise (e.g. a list
+#: where a pid → value mapping belongs); the reader skips such lines.
+_BAD_LINE = (
+    AttributeError, ConfigurationError, IndexError, KeyError,
+    OverflowError, TypeError, ValueError,
+)
+
+
+def append_batch(
+    fh: IO[str],
+    records: list[RunRecord],
+    base: dict | None = None,
+    deltas: list[dict] | None = None,
+) -> None:
+    """Append one batch line for ``records`` and flush it.
+
+    ``base``/``deltas`` forward to :meth:`RecordBatch.to_payload` so a
+    shard worker that already holds each cell's dispatched delta skips
+    the per-cell :func:`~repro.scenarios.scenario.scenario_delta` pass.
+    """
+    if not records:
+        return
+    payload = RecordBatch.from_records(records).to_payload(base, deltas)
+    fh.write(json.dumps({"batch": payload}, sort_keys=True) + "\n")
+    fh.flush()
+
+
+def heal_torn_tail(path: str) -> None:
+    """Terminate a torn final line so appends start on a fresh line.
+
+    A sweep killed mid-``write`` leaves a partial line at the end of its
+    record file.  Appending straight after it would glue the next batch
+    onto the fragment and lose *that* batch too on the following resume;
+    a single newline quarantines the fragment as its own undecodable
+    (hence skipped) line instead.
+    """
+    try:
+        size = os.path.getsize(path)
+    except OSError:
+        return
+    if not size:
+        return
+    with open(path, "rb") as fh:
+        fh.seek(size - 1)
+        torn = fh.read(1) != b"\n"
+    if torn:
+        with open(path, "ab") as fh:
+            fh.write(b"\n")
+
+
+def _read_batches(path: str) -> Iterator[tuple[list[dict], list[RunRecord]]]:
+    """Stream ``(scenario dicts, records)`` per decodable batch line.
+
+    The scenario dicts are each cell's ``base | delta``: their sorted-key
+    JSON dump is the record scenario's canonical key, without an
+    ``asdict`` pass per cell.  A line that fails to decode is skipped.
+    """
+    try:
+        fh = open(path, encoding="utf-8", errors="replace")
+    except OSError:
+        return
+    with fh:
+        for line in fh:
+            try:
+                payload = json.loads(line)["batch"]
+                records = RecordBatch.from_payload(payload).to_records()
+                base = payload["base"] or {}
+                cells = [{**base, **delta} for delta in payload["cells"]]
+            except _BAD_LINE:
+                continue
+            yield cells, records
+
+
+def iter_shard_records(path: str) -> Iterator[RunRecord]:
+    """Stream the decodable records of one record file, in file order.
+
+    The generator holds one line's records at a time; a missing file
+    yields nothing.
+    """
+    for _, records in _read_batches(path):
+        yield from records
+
+
+def load_shard_index(path: str) -> dict[str, RunRecord]:
+    """Per-cell resume index of one record file: canonical key → record."""
+    index: dict[str, RunRecord] = {}
+    for cells, records in _read_batches(path):
+        for cell, record in zip(cells, records):
+            index[json.dumps(cell, sort_keys=True)] = record
+    return index

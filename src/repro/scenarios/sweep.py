@@ -12,20 +12,17 @@ executes them under one of two executors:
   scalar slabs, and resume is shard-wise off the manifest.  See
   :class:`repro.fabric.ShardedSweep`.
 
-The serial JSONL file holds one ``{"batch": payload}`` line per flush —
-a columnar :class:`~repro.scenarios.record.RecordBatch` payload encoded
-in one pass.  A rerun with the same path **resumes**: cells whose
-canonical scenario key already appears in the file are loaded instead
-of re-run.  The resume index is built without re-instantiating a
-:class:`Scenario` per line — the canonical key of a stored scenario dict
-is just its sorted-key JSON dump.  Files written by older versions may
-also hold one ``{"record": row}`` line per cell; resume still reads
-those (read-only: nothing writes them any more), so a file may mix both
-layouts.  Torn final lines from an interrupted sweep fail JSON decoding
-and are skipped; malformed or foreign lines are skipped too, and their
+Both executors persist through the record-file functions of
+:mod:`repro.scenarios.record`: one ``{"batch": payload}`` line per
+flush — a columnar :class:`~repro.scenarios.record.RecordBatch` payload
+encoded in one pass.  A rerun with the same path **resumes**: cells
+whose canonical scenario key already appears in the file are loaded
+instead of re-run.  Lines that do not decode — a torn tail from an
+interrupted sweep, foreign or malformed JSONL, the per-cell
+``{"record": …}`` lines of pre-columnar files — are skipped, and their
 cells simply re-run.
 
-Writes are buffered and flushed every ``chunk_size`` records (32 by
+The serial executor flushes every ``chunk_size`` records (32 by
 default) and at least every :attr:`SweepRunner.FLUSH_INTERVAL_S`
 seconds, so an interrupted sweep loses at most one flush's worth of
 cells and slow cells keep near-per-record durability.
@@ -46,7 +43,13 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.scenarios.execute import EngineLease, execute
-from repro.scenarios.record import RecordBatch, RunRecord
+from repro.scenarios.record import (
+    RecordBatch,
+    RunRecord,
+    append_batch,
+    heal_torn_tail,
+    load_shard_index,
+)
 from repro.scenarios.registry import ADVERSARIES, ALGORITHMS
 from repro.scenarios.scenario import Scenario, scenario_key
 
@@ -142,30 +145,6 @@ def expand_grid(
             f"adversaries={list(adversaries)}, seeds={seeds})"
         )
     return cells
-
-
-def _dict_key(scenario_dict: Any) -> str | None:
-    """Canonical resume key of a stored scenario dict, or None if unkeyable.
-
-    For any dict that round-tripped through :meth:`Scenario.to_dict` this
-    equals ``scenario_key(Scenario.from_dict(d))`` — a sorted-key JSON
-    dump — without paying a Scenario construction per line.  Foreign or
-    malformed dicts either fail the dump (None) or produce a key that no
-    pending cell can match, which re-runs the cell exactly like the old
-    validating loader did.
-    """
-    try:
-        return json.dumps(scenario_dict, sort_keys=True)
-    except (TypeError, ValueError):
-        return None
-
-
-#: What decoding a foreign or malformed stored record can raise (e.g. a
-#: list where a pid → value mapping belongs); resume skips such lines
-#: and re-runs their cells.
-_UNREADABLE = (
-    AttributeError, ConfigurationError, IndexError, KeyError, TypeError, ValueError,
-)
 
 
 class SweepRunner:
@@ -274,70 +253,6 @@ class SweepRunner:
         self.respawns = 0
         self.quarantined = 0
 
-    # -- persistence -------------------------------------------------------
-
-    def _load_done(self) -> dict[str, RunRecord]:
-        """Resume index: canonical scenario key → stored normalized record.
-
-        Reads ``{"batch": payload}`` lines and, from files written by
-        older versions, ``{"record": row}`` lines, keyed without
-        constructing a Scenario per line (see :func:`_dict_key`).  Both
-        layouts decode here, so a line that cannot be read — torn tail
-        of an interrupted sweep, foreign JSONL, a malformed body — is
-        skipped and its cells simply re-run.
-        """
-        done: dict[str, RunRecord] = {}
-        if self.jsonl_path is None or not os.path.exists(self.jsonl_path):
-            return done
-        with open(self.jsonl_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn final line from an interrupted sweep
-                if not isinstance(entry, dict):
-                    continue  # foreign JSONL: valid JSON but not an object
-                row = entry.get("record")
-                if isinstance(row, dict) and "scenario" in row:
-                    key = _dict_key(row["scenario"])
-                    if key is not None:
-                        try:
-                            done[key] = RunRecord.from_dict(row)
-                        except _UNREADABLE:
-                            pass  # malformed legacy row: re-run its cell
-                    continue
-                payload = entry.get("batch")
-                if isinstance(payload, dict):
-                    try:
-                        records = RecordBatch.from_payload(payload).to_records()
-                        base = payload["base"]
-                        deltas = payload["cells"]
-                    except _UNREADABLE:
-                        continue  # foreign/incompatible batch: re-run its cells
-                    # Stored straight as normalized records (no dict round
-                    # trip); the key of base|delta is the record scenario's
-                    # canonical key without an asdict pass per cell.
-                    for delta, record in zip(deltas, records):
-                        key = _dict_key({**base, **delta})
-                        if key is not None:
-                            done[key] = record
-        return done
-
-    @staticmethod
-    def _flush(fh, buffer: list[RunRecord]) -> None:
-        """Persist buffered records as one batch line (a single encode
-        pass and one syscall-sized append), then flush."""
-        if fh is None or not buffer:
-            buffer.clear()
-            return
-        payload = RecordBatch.from_records(buffer).to_payload()
-        fh.write(json.dumps({"batch": payload}, sort_keys=True) + "\n")
-        fh.flush()
-        buffer.clear()
-
     # -- execution ---------------------------------------------------------
 
     def run(self) -> list[RunRecord]:
@@ -348,7 +263,7 @@ class SweepRunner:
                 return self._run_sharded()
             finally:
                 self.elapsed = time.perf_counter() - started
-        done = self._load_done()
+        done = load_shard_index(self.jsonl_path) if self.jsonl_path is not None else {}
         keys = [scenario_key(s) for s in self.scenarios]
         pending: list[Scenario] = []
         pending_keys: list[str] = []
@@ -366,20 +281,16 @@ class SweepRunner:
 
         fh = None
         if self.jsonl_path is not None:
+            heal_torn_tail(self.jsonl_path)
             fh = open(self.jsonl_path, "a", encoding="utf-8")
-            # Heal a torn tail before appending: a sweep killed mid-write
-            # leaves a partial final line, and appending straight after it
-            # would glue the first new record onto the garbage — losing a
-            # whole fresh chunk on the *next* resume.  A newline turns the
-            # torn fragment into its own (skippable) line instead.
-            size = os.path.getsize(self.jsonl_path)
-            if size:
-                with open(self.jsonl_path, "rb") as tail:
-                    tail.seek(size - 1)
-                    if tail.read(1) != b"\n":
-                        fh.write("\n")
         buffer: list[RunRecord] = []
         flush_every = self.chunk_size or 32
+
+        def flush() -> None:
+            if fh is not None:
+                append_batch(fh, buffer)
+            buffer.clear()
+
         try:
             last_flush = time.monotonic()
             lease = EngineLease()  # engine reuse across the whole pass
@@ -397,11 +308,11 @@ class SweepRunner:
                     len(buffer) >= flush_every
                     or time.monotonic() - last_flush >= self.FLUSH_INTERVAL_S
                 ):
-                    self._flush(fh, buffer)
+                    flush()
                     last_flush = time.monotonic()
                 self.executed += 1
         finally:
-            self._flush(fh, buffer)
+            flush()
             if fh is not None:
                 fh.close()
             self.elapsed = time.perf_counter() - started
@@ -591,7 +502,7 @@ def summarize_record_sources(
     """Streaming :func:`summarize_records` over multiple record sources.
 
     Each source is any record iterable (a list, a lazy generator over one
-    shard file — see :func:`repro.fabric.atlas.iter_shard_records`) or a
+    shard file — see :func:`repro.scenarios.record.iter_shard_records`) or a
     :class:`RecordBatch`.  Aggregation is incremental: only one
     accumulator per distinct cell group stays in memory, never the
     records themselves, so a million-cell sweep spread over per-shard

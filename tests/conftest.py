@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import sys
@@ -53,3 +54,27 @@ def run_crw(
         rng=rng or RandomSource(1),
     )
     return engine.run(max_rounds)
+
+
+@pytest.fixture(params=[
+    ("decisions", None),  # None: drop the column
+    ("decisions", [1, 2]),
+    ("decision_rounds", {"x": 1}),
+], ids=["missing-decisions", "list-decisions", "non-int-pid"])
+def damage_batch_line(request):
+    """Rewrite one ``{"batch": …}`` JSONL line with a malformed column.
+
+    The line stays valid JSON and its scenarios stay valid (so its cells
+    key onto pending ones); only a record column breaks.
+    """
+    column, value = request.param
+
+    def damage(line: str) -> str:
+        entry = json.loads(line)
+        if value is None:
+            del entry["batch"][column]
+        else:
+            entry["batch"][column][0] = value
+        return json.dumps(entry, sort_keys=True) + "\n"
+
+    return damage

@@ -142,6 +142,55 @@ class TestSimulatedKill:
         assert atlas["rows"] == serial_rows
 
 
+class TestMalformedBatchLine:
+    """A shard line that is valid JSON with broken columns is skipped.
+
+    Its cells re-run on resume, and the atlas reads past it.
+    """
+
+    def _complete(self, cells, d):
+        SweepRunner(cells, executor="sharded", jsonl_path=d,
+                    shards=4, chunk_size=3, processes=1).run()
+
+    def test_sharded_resume_reruns_the_damaged_cells(
+        self, cells, serial_records, tmp_path, damage_batch_line
+    ):
+        clean_dir = tmp_path / "clean"
+        d = tmp_path / "damaged"
+        self._complete(cells, clean_dir)
+        self._complete(cells, d)
+        manifest = ShardManifest.load(str(d))
+        manifest.shards[1].status = "pending"
+        manifest.save()
+        path = d / manifest.shards[1].file
+        lines = path.read_text().splitlines(keepends=True)
+        lines[0] = damage_batch_line(lines[0])
+        path.write_text("".join(lines))
+
+        resumed = SweepRunner(cells, executor="sharded", jsonl_path=d,
+                              shards=4, chunk_size=3, processes=1)
+        assert resumed.run() == serial_records
+        assert resumed.executed == len(json.loads(lines[0])["batch"]["cells"])
+        write_atlas(clean_dir, tmp_path / "clean.json")
+        write_atlas(d, tmp_path / "damaged.json")
+        assert (
+            (tmp_path / "clean.json").read_bytes()
+            == (tmp_path / "damaged.json").read_bytes()
+        )
+
+    def test_atlas_skips_a_damaged_line_in_a_done_shard(
+        self, cells, tmp_path, damage_batch_line
+    ):
+        d = tmp_path / "shards"
+        self._complete(cells, d)
+        reference = build_atlas(d)
+        path = d / ShardManifest.load(str(d)).shards[2].file
+        first = path.read_text().splitlines(keepends=True)[0]
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(damage_batch_line(first))
+        assert build_atlas(d) == reference
+
+
 _KILL_SCRIPT = """
 import sys, warnings
 warnings.simplefilter("ignore")

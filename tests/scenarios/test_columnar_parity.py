@@ -5,8 +5,8 @@ scenarios spanning three backends (extended, classic, async) × crashing
 adversaries × seeds is executed through each alternative, and the
 records must match dict for dict:
 
-* columnar JSONL persistence, and resume from per-cell ``{"record": …}``
-  lines written by older versions (alone and mixed with batch lines);
+* columnar JSONL persistence and resume (per-cell ``{"record": …}``
+  lines written by older versions are foreign: their cells re-run);
 * the serial and the sharded executor;
 * fresh vs **refilled** engines (the lease path that skips the
   n-object process factory entirely).
@@ -62,24 +62,25 @@ class TestJsonlParity:
         records = SweepRunner(grid, jsonl_path=tmp_path / "sweep.jsonl").run()
         assert [r.to_dict() for r in records] == reference
 
-    def test_legacy_file_resumes_with_zero_executed(self, grid, reference, tmp_path):
+    def test_record_lines_are_foreign_and_rerun(self, grid, reference, tmp_path):
         path = tmp_path / "legacy.jsonl"
         path.write_text(legacy_lines(reference))
         runner = SweepRunner(grid, jsonl_path=path)
         records = runner.run()
-        assert runner.executed == 0 and runner.resumed == len(grid)
+        assert runner.executed == len(grid) and runner.resumed == 0
         assert [r.to_dict() for r in records] == reference
 
-    def test_legacy_then_columnar_resume(self, grid, reference, tmp_path):
-        # First half persisted as legacy record lines, the rest appended
-        # as batch lines by a rerun: resume must stitch both layouts.
+    def test_record_lines_then_batch_resume(self, grid, reference, tmp_path):
+        # First half persisted as legacy record lines: a rerun skips them,
+        # re-runs every cell and appends batch lines, which the next
+        # rerun resumes in full.
         half = len(grid) // 2
         path = tmp_path / "mixed.jsonl"
         path.write_text(legacy_lines(reference[:half]))
         runner = SweepRunner(grid, jsonl_path=path)
         records = runner.run()
-        assert runner.resumed == half
-        assert runner.executed == len(grid) - half
+        assert runner.resumed == 0
+        assert runner.executed == len(grid)
         assert [r.to_dict() for r in records] == reference
         lines = path.read_text().splitlines()
         assert all('"record"' in line for line in lines[:half])

@@ -15,6 +15,13 @@ from repro.scenarios import (
     execute,
     jsonable,
     scenario_delta,
+    scenario_key,
+)
+from repro.scenarios.record import (
+    append_batch,
+    heal_torn_tail,
+    iter_shard_records,
+    load_shard_index,
 )
 
 
@@ -103,11 +110,10 @@ class TestRecordBatch:
         assert len(batch) == len(records)
         assert batch.to_records() == records
 
-    def test_rows_match_to_dict(self):
+    def test_records_round_trip_through_dicts(self):
         records = _records()
-        rows = RecordBatch.from_records(records).to_rows()
-        assert rows == [r.to_dict() for r in records]
-        assert RecordBatch.from_rows(rows).to_records() == records
+        decoded = RecordBatch.from_records(records).to_records()
+        assert [RunRecord.from_dict(r.to_dict()) for r in decoded] == records
 
     def test_payload_roundtrip_wire_and_json(self):
         records = _records()
@@ -164,3 +170,68 @@ class TestJsonableBottom:
 
         assert jsonable([1, BOT]) == [1, {"$bot": True}]
         assert jsonable((BOT,)) == [{"$bot": True}]
+
+
+class TestRecordFile:
+    """The one reader and writer of ``{"batch": …}`` record files."""
+
+    def _write(self, path, records, chunk=3):
+        with open(path, "a", encoding="utf-8") as fh:
+            for i in range(0, len(records), chunk):
+                append_batch(fh, records[i:i + chunk])
+
+    def test_round_trip_and_canonical_keys(self, tmp_path):
+        records = _records()
+        path = tmp_path / "records.jsonl"
+        self._write(path, records)
+        assert len(path.read_text().splitlines()) == 2
+        assert list(iter_shard_records(str(path))) == records
+        index = load_shard_index(str(path))
+        assert index == {scenario_key(r.scenario): r for r in records}
+
+    def test_undecodable_lines_are_skipped(self, tmp_path):
+        records = _records()
+        good = RecordBatch.from_records(records[:2]).to_payload()
+        damaged = json.loads(json.dumps(good))
+        damaged["decisions"][0] = [1, 2]  # valid JSON, list-valued column
+        overflow = json.loads(json.dumps(good))
+        overflow["decision_rounds"][0] = {"1": float("inf")}  # int(inf) overflows
+        unkeyable = json.loads(json.dumps(good))
+        unkeyable["cells"] = [[], []]  # decodes (empty delta) but no dict
+        path = tmp_path / "mixed.jsonl"
+        with open(path, "wb") as fh:
+            for entry in (
+                {"record": records[0].to_dict()},  # pre-columnar layout
+                [1, 2, 3],
+                {"batch": damaged},
+                {"batch": overflow},
+                {"batch": unkeyable},
+                {"batch": "not a payload"},
+            ):
+                fh.write(json.dumps(entry).encode() + b"\n")
+            fh.write(b"\xff\xfe not utf-8\n\n")
+            fh.write(json.dumps({"batch": good}).encode() + b"\n")
+            fh.write(b'{"batch": {"base"')  # torn tail
+        assert list(iter_shard_records(str(path))) == records[:2]
+        assert set(load_shard_index(str(path))) == {
+            scenario_key(r.scenario) for r in records[:2]
+        }
+
+    def test_missing_file_reads_empty(self, tmp_path):
+        path = str(tmp_path / "absent.jsonl")
+        assert list(iter_shard_records(path)) == []
+        assert load_shard_index(path) == {}
+        heal_torn_tail(path)
+        assert not (tmp_path / "absent.jsonl").exists()
+
+    def test_heal_torn_tail_quarantines_the_fragment(self, tmp_path):
+        records = _records()
+        path = tmp_path / "torn.jsonl"
+        self._write(path, records[:3])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"batch": {"ba')
+        heal_torn_tail(str(path))
+        heal_torn_tail(str(path))  # idempotent: one newline only
+        self._write(path, records[3:])
+        assert path.read_text().count("\n") == 3
+        assert list(iter_shard_records(str(path))) == records

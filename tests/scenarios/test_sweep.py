@@ -190,13 +190,17 @@ class TestJsonlResume:
     def test_foreign_jsonl_line_is_skipped_not_fatal(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         cells = small_grid(seeds=1)
-        # A syntactically valid line whose scenario has an unknown key
-        # (e.g. written by a newer version) must not abort the resume.
+        base = cells[0].to_dict()
+        # Syntactically valid lines that are not readable batch lines must
+        # not abort the resume: a per-cell record line (the pre-columnar
+        # layout — foreign now, so its cell re-runs), a batch whose base
+        # has an unknown key (e.g. written by a newer version), and JSON
+        # that is not an object.
         path.write_text(
-            json.dumps({"record": {"scenario": {"algorithm": "crw", "n": 4,
-                                                "from_the_future": 1}}}) + "\n"
-            + json.dumps({"record": {"scenario": {"n": 4}}}) + "\n"  # missing keys
-            + json.dumps([1, 2, 3]) + "\n"  # valid JSON, not an object
+            json.dumps({"record": execute(cells[0]).to_dict()}) + "\n"
+            + json.dumps({"batch": {"base": {**base, "from_the_future": 1},
+                                    "cells": [{}]}}) + "\n"
+            + json.dumps([1, 2, 3]) + "\n"
         )
         runner = SweepRunner(cells, jsonl_path=path)
         records = runner.run()
@@ -209,26 +213,20 @@ class TestJsonlResume:
         runner = SweepRunner(cells, jsonl_path=path)
         runner.run()
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"record": {"scenario"')  # interrupted mid-write
+            fh.write('{"batch": {"base"')  # interrupted mid-write
         resumed = SweepRunner(cells, jsonl_path=path)
         records = resumed.run()
         assert resumed.executed == 0
         assert len(records) == len(cells)
 
-    @pytest.mark.parametrize("damage", [
-        lambda row: row.pop("decisions"),
-        lambda row: row.update(decisions=[1, 2]),
-        lambda row: row.update(decision_rounds={"x": 1}),
-    ], ids=["missing-decisions", "list-decisions", "non-int-pid"])
-    def test_malformed_legacy_line_reruns_its_cell(self, tmp_path, damage):
+    def test_malformed_batch_line_reruns_its_cell(self, tmp_path, damage_batch_line):
         # The scenario is valid (so the line keys onto a pending cell) but
-        # the body is not: resume must re-run the cell, not crash after
-        # every other cell has already executed.
+        # the columns are not: resume must re-run the cell, not crash
+        # after every other cell has already executed.
         path = tmp_path / "bad.jsonl"
         cell = Scenario(algorithm="crw", n=4, f=1, adversary="coordinator-killer")
-        row = execute(cell).to_dict()
-        damage(row)
-        path.write_text(json.dumps({"record": row}, sort_keys=True) + "\n")
+        SweepRunner([cell], jsonl_path=path).run()
+        path.write_text(damage_batch_line(path.read_text()))
         runner = SweepRunner([cell], jsonl_path=path)
         (record,) = runner.run()
         assert runner.executed == 1 and runner.resumed == 0
@@ -256,14 +254,18 @@ class TestJsonlResume:
         decisions = line["batch"]["decisions"][0]
         assert list(decisions.values())[0] == {"$sized": [101, 64]}
 
-    def test_sized_payloads_resume_from_legacy_lines(self, tmp_path):
+    def test_sized_payloads_rerun_from_record_lines(self, tmp_path):
         path = tmp_path / "sized-legacy.jsonl"
         cell = Scenario(algorithm="crw", n=4, workload="sized",
                         workload_params={"bits": 64})
         fresh = execute(cell, trace=False).normalized()
-        # One per-cell record line, the layout older versions wrote.
+        # One per-cell record line, the layout pre-columnar versions
+        # wrote: foreign now, so the cell re-runs and its batch line
+        # resumes the next pass.
         path.write_text(json.dumps({"record": fresh.to_dict()}, sort_keys=True) + "\n")
         runner = SweepRunner([cell], jsonl_path=path)
         (record,) = runner.run()
-        assert runner.executed == 0
-        assert record == fresh
+        assert runner.executed == 1 and record == fresh
+        rerun = SweepRunner([cell], jsonl_path=path)
+        (resumed,) = rerun.run()
+        assert rerun.executed == 0 and resumed == fresh

@@ -2,9 +2,7 @@
 
 A sweep killed mid-chunk leaves a JSONL file whose tail is garbage: the
 final line may be torn mid-write (the buffered append was cut by the
-kill) and whole chunks may never have flushed.  The contract — for
-batch lines and for the per-cell ``{"record": …}`` lines older versions
-wrote — is:
+kill) and whole chunks may never have flushed.  The contract is:
 
 * resume must re-run **exactly** the cells whose records did not survive
   (never a survivor, never fewer than the lost set);
@@ -54,9 +52,7 @@ def _records_in(path) -> int:
                 entry = json.loads(line)
             except json.JSONDecodeError:
                 continue
-            if "record" in entry:
-                count += 1
-            elif "batch" in entry:
+            if "batch" in entry:
                 count += len(entry["batch"]["cells"])
     return count
 
@@ -114,11 +110,13 @@ class TestKilledMidChunk:
 
 
 class TestTornLegacyTail:
-    def test_torn_record_line_reruns_only_its_cell(self, cells, uninterrupted, tmp_path):
-        # A file of per-cell record lines (the layout older versions
-        # wrote) killed mid-append: every complete line resumes, the torn
-        # cell and the never-written ones re-run, and the new records are
-        # appended as batch lines after the healed tail.
+    def test_torn_record_line_file_reruns_every_cell(
+        self, cells, uninterrupted, tmp_path
+    ):
+        # A file of per-cell record lines (the layout pre-columnar
+        # versions wrote) killed mid-append: those lines are foreign, so
+        # every cell re-runs, and the new records are appended as batch
+        # lines after the healed tail.
         path = tmp_path / "legacy.jsonl"
         path.write_text("".join(
             json.dumps({"record": row}, sort_keys=True) + "\n"
@@ -126,13 +124,14 @@ class TestTornLegacyTail:
         ))
         keep = len(cells) // 2
         _interrupt(path, keep_lines=keep, torn_bytes=30)
-        assert _records_in(path) == keep
+        assert _records_in(path) == 0
 
         resumed = SweepRunner(cells, jsonl_path=path, chunk_size=4)
         records = resumed.run()
-        assert resumed.resumed == keep
-        assert resumed.executed == len(cells) - keep
+        assert resumed.resumed == 0
+        assert resumed.executed == len(cells)
         assert [r.to_dict() for r in records] == uninterrupted
+        assert len(path.read_text().splitlines()) == keep + 1 + (len(cells) + 3) // 4
 
         healed = SweepRunner(cells, jsonl_path=path)
         healed.run()
